@@ -244,7 +244,7 @@ pub fn e18_hybrid(clusters: usize, queries_per_cluster: usize) -> Report {
                     for p2 in inst.plans_of(q2) {
                         if rng.random::<f64>() < 0.5 {
                             let cap = inst.plan_cost[p1].min(inst.plan_cost[p2]);
-                            inst.savings.push((p1, p2, 0.3 * cap));
+                            inst.savings.push((p1 as u32, p2 as u32, 0.3 * cap));
                         }
                     }
                 }

@@ -22,13 +22,16 @@ use rand::Rng;
 pub struct MqoInstance {
     /// Number of queries.
     pub n_queries: usize,
-    /// `plan_query[p]` = which query plan `p` belongs to.
-    pub plan_query: Vec<usize>,
+    /// `plan_query[p]` = which query plan `p` belongs to. `u32` indices
+    /// keep instances compact: services hold one per queued or delivered
+    /// job.
+    pub plan_query: Vec<u32>,
     /// Cost of each plan.
     pub plan_cost: Vec<f64>,
     /// Savings for co-selecting plan pairs `(p, q, saving)` with
-    /// `plan_query[p] != plan_query[q]` and `saving > 0`.
-    pub savings: Vec<(usize, usize, f64)>,
+    /// `plan_query[p] != plan_query[q]` and `saving > 0`, in the order they
+    /// were drawn (the order [`MqoProblem::to_qubo`] adds them in).
+    pub savings: Vec<(u32, u32, f64)>,
 }
 
 impl MqoInstance {
@@ -44,17 +47,20 @@ impl MqoInstance {
     ) -> Self {
         assert!(n_queries >= 1 && plans_per_query >= 1);
         let n_plans = n_queries * plans_per_query;
-        let plan_query: Vec<usize> = (0..n_plans).map(|p| p / plans_per_query).collect();
+        assert!(u32::try_from(n_plans).is_ok(), "{n_plans} plans exceed u32 plan indices");
+        let plan_query: Vec<u32> = (0..n_plans).map(|p| (p / plans_per_query) as u32).collect();
         let plan_cost: Vec<f64> = (0..n_plans).map(|_| rng.random_range(10.0..100.0)).collect();
         let mut savings = Vec::new();
         for p in 0..n_plans {
             for q in (p + 1)..n_plans {
                 if plan_query[p] != plan_query[q] && rng.random::<f64>() < sharing_prob {
                     let cap = plan_cost[p].min(plan_cost[q]);
-                    savings.push((p, q, rng.random_range(0.1..0.5) * cap));
+                    savings.push((p as u32, q as u32, rng.random_range(0.1..0.5) * cap));
                 }
             }
         }
+        // Drop the doubling slack: the instance outlives generation.
+        savings.shrink_to_fit();
         Self { n_queries, plan_query, plan_cost, savings }
     }
 
@@ -65,7 +71,7 @@ impl MqoInstance {
 
     /// The plan indices belonging to a query.
     pub fn plans_of(&self, query: usize) -> Vec<usize> {
-        (0..self.n_plans()).filter(|&p| self.plan_query[p] == query).collect()
+        (0..self.n_plans()).filter(|&p| self.plan_query[p] as usize == query).collect()
     }
 
     /// Objective of a full selection (`selection[q]` = plan chosen for
@@ -74,7 +80,7 @@ impl MqoInstance {
         assert_eq!(selection.len(), self.n_queries);
         let mut total: f64 = selection.iter().map(|&p| self.plan_cost[p]).sum();
         for &(p, q, s) in &self.savings {
-            if selection.contains(&p) && selection.contains(&q) {
+            if selection.contains(&(p as usize)) && selection.contains(&(q as usize)) {
                 total -= s;
             }
         }
@@ -200,7 +206,7 @@ impl DmProblem for MqoProblem {
             q.add_linear(p, c);
         }
         for &(p1, p2, s) in &self.instance.savings {
-            q.add_quadratic(p1, p2, -s);
+            q.add_quadratic(p1 as usize, p2 as usize, -s);
         }
         for query in 0..self.instance.n_queries {
             penalty::exactly_one(&mut q, &self.instance.plans_of(query), self.penalty_weight);
@@ -270,9 +276,16 @@ mod tests {
         assert_eq!(inst.plans_of(0), vec![0, 1, 2]);
         assert_eq!(inst.plans_of(3), vec![9, 10, 11]);
         for &(p, q, s) in &inst.savings {
-            assert_ne!(inst.plan_query[p], inst.plan_query[q]);
+            assert_ne!(inst.plan_query[p as usize], inst.plan_query[q as usize]);
             assert!(s > 0.0);
         }
+    }
+
+    #[test]
+    fn generated_savings_carry_no_growth_slack() {
+        let inst = instance(2, 32, 4);
+        assert!(inst.savings.len() > 100);
+        assert_eq!(inst.savings.capacity(), inst.savings.len());
     }
 
     #[test]
@@ -301,14 +314,20 @@ mod tests {
         let inst = instance(3, 3, 2);
         let n = inst.n_plans();
         let to: Vec<usize> = (0..n).rev().collect();
-        let mut plan_query = vec![0usize; n];
+        let mut plan_query = vec![0u32; n];
         let mut plan_cost = vec![0.0f64; n];
         for (p, &t) in to.iter().enumerate() {
             plan_query[t] = inst.plan_query[p];
             plan_cost[t] = inst.plan_cost[p];
         }
-        let savings =
-            inst.savings.iter().map(|&(p, q, s)| (to[p].min(to[q]), to[p].max(to[q]), s)).collect();
+        let savings = inst
+            .savings
+            .iter()
+            .map(|&(p, q, s)| {
+                let (p, q) = (to[p as usize] as u32, to[q as usize] as u32);
+                (p.min(q), p.max(q), s)
+            })
+            .collect();
         let permuted = MqoInstance { n_queries: inst.n_queries, plan_query, plan_cost, savings };
         let original_qubo = MqoProblem::new(inst).to_qubo();
         let permuted_qubo = MqoProblem::new(permuted).to_qubo();

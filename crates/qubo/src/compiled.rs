@@ -21,7 +21,7 @@
 //! sorted `(i, j)` order, per-row neighbors ascending), so compiled results
 //! are bit-identical to the model-backed slow path, not merely close.
 
-use crate::model::QuboModel;
+use crate::model::{f64_bits, mix, pair_word, QuboModel, FINGERPRINT_SEED};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide count of [`CompiledQubo`] constructions.
@@ -117,11 +117,13 @@ where
 /// Returns `(fingerprint, perm)` with `perm[original_index] =
 /// canonical_index`.
 ///
-/// Variables are sorted by a coefficient signature — FNV-1a over the linear
-/// term, refined twice over the sorted `(coupling weight, neighbor
-/// signature)` multiset, a Weisfeiler-Lehman-style pass — and the relabeled
-/// coefficient stream is hashed exactly as [`QuboModel::fingerprint`] would
-/// hash the relabeled model, without materializing it.
+/// Variables are sorted by a coefficient signature — a hash of the linear
+/// term, refined twice by folding in a commutative multiset hash of the
+/// row (the wrapping sum of `mix(coupling weight, neighbor signature)`), a
+/// Weisfeiler-Lehman-style pass with no per-row sort — with ties broken by
+/// original index. The relabeled coefficient stream is then hashed exactly
+/// as [`QuboModel::fingerprint`] would hash the relabeled model, without
+/// materializing it.
 pub fn canonical_form_csr(
     n_vars: usize,
     offset: f64,
@@ -130,80 +132,62 @@ pub fn canonical_form_csr(
     neighbors: &[u32],
     weights: &[f64],
 ) -> (u64, Vec<usize>) {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mix = |mut h: u64, word: u64| -> u64 {
-        for byte in word.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
-    };
-    let f64_bits = |x: f64| if x == 0.0 { 0u64 } else { x.to_bits() };
-    let row = |i: usize| {
-        let span = row_offsets[i]..row_offsets[i + 1];
-        (&neighbors[span.clone()], &weights[span])
-    };
-
     // Weisfeiler-Lehman-style signature refinement: seed each variable
-    // with its linear coefficient, refine twice over the sorted
-    // (coupling weight, neighbor signature) multiset.
-    let mut sig: Vec<u64> = linear.iter().map(|&w| mix(FNV_OFFSET, f64_bits(w))).collect();
+    // with its linear coefficient, then twice fold in the multiset of
+    // (coupling weight, neighbor signature) pairs. The wrapping sum makes
+    // the multiset hash order-free, so rows need no sort; `next` is the
+    // one scratch buffer, swapped with `sig` each round.
+    let mut sig: Vec<u64> = linear.iter().map(|&w| mix(FINGERPRINT_SEED, f64_bits(w))).collect();
+    let mut next = vec![0u64; n_vars];
     for _round in 0..2 {
-        let refined: Vec<u64> = (0..n_vars)
-            .map(|i| {
-                let (nbrs, ws) = row(i);
-                let mut tokens: Vec<(u64, u64)> =
-                    nbrs.iter().zip(ws).map(|(&j, &w)| (f64_bits(w), sig[j as usize])).collect();
-                tokens.sort_unstable();
-                let mut h = mix(FNV_OFFSET, sig[i]);
-                for (w, s) in tokens {
-                    h = mix(mix(h, w), s);
-                }
-                h
-            })
-            .collect();
-        sig = refined;
+        for (i, out) in next.iter_mut().enumerate() {
+            let span = row_offsets[i]..row_offsets[i + 1];
+            let multiset = neighbors[span.clone()]
+                .iter()
+                .zip(&weights[span])
+                .fold(0u64, |acc, (&j, &w)| acc.wrapping_add(mix(f64_bits(w), sig[j as usize])));
+            *out = mix(sig[i], multiset);
+        }
+        std::mem::swap(&mut sig, &mut next);
     }
 
-    let mut order: Vec<usize> = (0..n_vars).collect();
-    order.sort_by_key(|&i| (sig[i], i));
+    // `(signature, index)` pairs are unique, so the unstable sort is
+    // deterministic.
+    let mut order: Vec<(u64, u32)> = sig.iter().zip(0u32..).map(|(&s, i)| (s, i)).collect();
+    order.sort_unstable();
     let mut perm = vec![0usize; n_vars];
-    for (canonical, &original) in order.iter().enumerate() {
-        perm[original] = canonical;
+    for (canonical, &(_, original)) in order.iter().enumerate() {
+        perm[original as usize] = canonical;
     }
 
     // Hash the relabeled coefficient stream in `QuboModel::fingerprint`'s
-    // exact byte order — variable count, linear terms by canonical
+    // exact word order — variable count, linear terms by canonical
     // index, couplings by sorted canonical key, offset — without
-    // building the relabeled model. Each symmetric CSR edge is visited
-    // once via its upper-triangular (j > i) half.
-    let mut h = FNV_OFFSET;
-    h = mix(h, n_vars as u64);
-    for &original in &order {
-        h = mix(h, f64_bits(linear[original]));
+    // building the relabeled model. Canonical row `a` is the original row
+    // `order[a]`; its couplings to canonical indices `b > a` are gathered
+    // into one reused buffer and sorted by `b`, so sorted `(a, b)` order
+    // costs a per-row sort of at most `max_degree` entries instead of one
+    // sort over all couplings.
+    let mut h = mix(FINGERPRINT_SEED, n_vars as u64);
+    for &(_, original) in &order {
+        h = mix(h, f64_bits(linear[original as usize]));
     }
-    let perm_ref = &perm;
-    let mut couplings: Vec<(usize, usize, u64)> = (0..n_vars)
-        .flat_map(|i| {
-            let (nbrs, ws) = row(i);
-            nbrs.iter().zip(ws).filter_map(move |(&j, &w)| {
-                let j = j as usize;
-                (j > i).then(|| {
-                    let (a, b) = (perm_ref[i].min(perm_ref[j]), perm_ref[i].max(perm_ref[j]));
-                    (a, b, f64_bits(w))
-                })
-            })
-        })
-        .collect();
-    couplings.sort_unstable();
-    for (a, b, w) in couplings {
-        h = mix(h, a as u64);
-        h = mix(h, b as u64);
-        h = mix(h, w);
+    let mut row: Vec<(u32, u64)> = Vec::new();
+    for (a, &(_, i)) in order.iter().enumerate() {
+        let span = row_offsets[i as usize]..row_offsets[i as usize + 1];
+        row.clear();
+        for (&j, &w) in neighbors[span.clone()].iter().zip(&weights[span]) {
+            let b = perm[j as usize];
+            if b > a {
+                row.push((b as u32, f64_bits(w)));
+            }
+        }
+        row.sort_unstable_by_key(|&(b, _)| b);
+        for &(b, w) in &row {
+            h = mix(mix(h, pair_word(a, b as usize)), w);
+        }
     }
-    h = mix(h, f64_bits(offset));
-    (h, perm)
+    (mix(h, f64_bits(offset)), perm)
 }
 
 impl CompiledQubo {

@@ -219,45 +219,38 @@ impl QuboModel {
         models.into_iter().zip(var_maps).collect()
     }
 
-    /// A canonical 64-bit fingerprint of the model: FNV-1a over the variable
-    /// count, every linear coefficient, the sorted non-zero couplings, and
-    /// the offset (all `f64`s hashed by IEEE-754 bit pattern, `-0.0`
-    /// normalized to `0.0`).
+    /// A canonical 64-bit fingerprint of the model: a word-at-a-time hash
+    /// (one folded 64×64→128 multiply per word, with constants XORed into
+    /// both operands) over the variable count, every linear coefficient,
+    /// the sorted non-zero couplings (each as its packed `(i, j)` key word
+    /// and its weight), and the offset (all `f64`s hashed by IEEE-754 bit
+    /// pattern, `-0.0` normalized to `0.0`).
     ///
     /// Two models built through any sequence of `add_*` calls that produce
     /// the same coefficients fingerprint identically, because storage is
     /// already canonical: upper-triangular sorted keys with zero couplings
     /// pruned. `qdm-runtime` keys its result cache on this, so repeated
     /// encodings of the same MQO / join-ordering instance are served without
-    /// re-solving.
+    /// re-solving. Fingerprints are stable within a build, not across
+    /// builds that change the hash: persisted images keyed on them carry
+    /// their own format version.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        let f64_bits = |x: f64| if x == 0.0 { 0u64 } else { x.to_bits() };
-        eat(self.n_vars as u64);
+        let mut h = mix(FINGERPRINT_SEED, self.n_vars as u64);
         for &w in &self.linear {
-            eat(f64_bits(w));
+            h = mix(h, f64_bits(w));
         }
         for (&(i, j), &w) in &self.quadratic {
-            eat(i as u64);
-            eat(j as u64);
-            eat(f64_bits(w));
+            h = mix(mix(h, pair_word(i, j)), f64_bits(w));
         }
-        eat(f64_bits(self.offset));
-        h
+        mix(h, f64_bits(self.offset))
     }
 
     /// A variable-permutation-invariant fingerprint: two models that differ
-    /// only by a relabeling of their variables hash identically (whenever the
-    /// signature refinement below separates the variables, which it does for
-    /// any model without non-trivial coefficient symmetries).
+    /// only by a relabeling of their variables hash identically whenever
+    /// the two-round signature refinement of [`Self::canonical_form`]
+    /// separates every variable. Models whose variables stay tied after two
+    /// rounds — coefficient symmetries, or structure the refinement is too
+    /// shallow to tell apart — may fingerprint differently per labeling.
     ///
     /// `qdm-runtime` keys its result cache on this, so the same MQO /
     /// join-ordering instance encoded with plans or relations enumerated in a
@@ -271,15 +264,16 @@ impl QuboModel {
     /// the relabeled coefficients: returns `(fingerprint, perm)` with
     /// `perm[original_index] = canonical_index`.
     ///
-    /// Variables are sorted by a coefficient signature — FNV-1a over the
-    /// linear term, refined twice over the sorted `(coupling weight,
-    /// neighbor signature)` multiset, a Weisfeiler-Lehman-style pass — and
-    /// the relabeled coefficient stream is hashed exactly as
-    /// [`Self::fingerprint`] would hash the relabeled model (without
-    /// materializing it). Ties (signature-identical variables) break by
-    /// original index, so genuinely symmetric variables may canonicalize
-    /// differently across permutations; that costs a cache hit, never
-    /// correctness.
+    /// Variables are sorted by a coefficient signature — a hash of the
+    /// linear term, refined twice by folding in a commutative multiset hash
+    /// (wrapping sum) of `mix(coupling weight, neighbor signature)` over
+    /// the row, a Weisfeiler-Lehman-style pass — and the relabeled
+    /// coefficient stream is hashed exactly as [`Self::fingerprint`] would
+    /// hash the relabeled model (without materializing it). Ties
+    /// (variables whose signatures still agree after the two rounds) break
+    /// by original index, so symmetric or refinement-indistinguishable
+    /// variables may canonicalize differently across permutations; that
+    /// costs a cache hit, never correctness.
     /// The implementation is [`crate::compiled::canonical_form_csr`] (the
     /// signature refinement walks CSR rows anyway); this wrapper builds the
     /// CSR arrays directly via [`crate::compiled::build_symmetric_csr`]
@@ -291,11 +285,10 @@ impl QuboModel {
     pub fn canonical_form(&self) -> (u64, Vec<usize>) {
         let (row_offsets, neighbors, weights) =
             crate::compiled::build_symmetric_csr(self.n_vars(), || self.quadratic_iter());
-        let linear: Vec<f64> = (0..self.n_vars()).map(|i| self.linear(i)).collect();
         crate::compiled::canonical_form_csr(
             self.n_vars(),
             self.offset(),
-            &linear,
+            &self.linear,
             &row_offsets,
             &neighbors,
             &weights,
@@ -383,6 +376,37 @@ impl QuboModel {
 
 /// Version tag leading every [`QuboModel::to_bytes`] record.
 const QUBO_CODEC_VERSION: u8 = 1;
+
+/// Initial state of every fingerprint hash chain.
+pub(crate) const FINGERPRINT_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Folds one 64-bit word into a fingerprint hash state: a single
+/// 64×64→128 multiply whose high and low halves are XORed together.
+/// Distinct constants are XORed into both operands first, so a zero word
+/// (or a zero state) still mixes.
+#[inline]
+pub(crate) fn mix(h: u64, word: u64) -> u64 {
+    let product = u128::from(h ^ 0x243f_6a88_85a3_08d3) * u128::from(word ^ 0x1319_8a2e_0370_7344);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+/// A coupling's `(i, j)` key packed into one hash word. Injective for
+/// indices below 2^32, which covers every model a CSR compilation accepts.
+#[inline]
+pub(crate) fn pair_word(i: usize, j: usize) -> u64 {
+    (i as u64) << 32 | j as u64
+}
+
+/// An `f64`'s IEEE-754 bit pattern with `-0.0` normalized to `0.0`, so
+/// signed zeros never split fingerprints.
+#[inline]
+pub(crate) fn f64_bits(x: f64) -> u64 {
+    if x == 0.0 {
+        0
+    } else {
+        x.to_bits()
+    }
+}
 
 /// Minimal forward-only byte reader behind [`QuboModel::from_bytes`].
 struct Cursor<'a> {

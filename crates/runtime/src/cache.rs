@@ -3,10 +3,12 @@
 //! the common case when the same MQO or join-ordering instance arrives again
 //! — are served without re-solving.
 //!
-//! The key combines the QUBO's permutation-invariant canonical fingerprint
+//! The key combines the QUBO's canonical fingerprint
 //! ([`qdm_qubo::model::QuboModel::canonical_fingerprint`]) with the pipeline
-//! options, the job seed, and the requested backend, so even the same
-//! instance encoded with its variables enumerated in a different order hits.
+//! options, the job seed, and the requested backend, so the same instance
+//! encoded with its variables enumerated in a different order hits whenever
+//! the canonical labeling tells its variables apart (see
+//! [`qdm_qubo::model::QuboModel::canonical_form`] for the limit).
 //! Entries store the solved assignment in *canonical* variable order
 //! ([`CachedResult::canonical_bits`]); the service translates it back into
 //! the requester's labeling on every hit. Under fixed seeds every pipeline
@@ -61,7 +63,8 @@ pub struct CacheKey {
     /// problem types can encode to coefficient-identical QUBOs while
     /// decoding/repairing differently; the name keeps their entries apart.
     pub problem: String,
-    /// Permutation-invariant canonical QUBO fingerprint.
+    /// Canonical QUBO fingerprint (labeling-independent wherever the
+    /// canonical labeling resolves every variable).
     pub qubo_fingerprint: u64,
     /// Pipeline options, packed (presolve | decompose<<1 | repair<<2).
     /// Priority is scheduling-only and deliberately excluded: a job's result
@@ -110,6 +113,16 @@ pub struct CachedResult {
     pub canonical_bits: Vec<bool>,
     /// Name of the backend that produced it.
     pub backend: String,
+}
+
+impl CachedResult {
+    /// Whether this result can answer a model of `n_vars` variables. A
+    /// length mismatch means a 64-bit fingerprint collision across model
+    /// sizes; serving it would index past the requester's permutation, so
+    /// the service treats it as a miss.
+    pub(crate) fn fits(&self, n_vars: usize) -> bool {
+        self.canonical_bits.len() == n_vars
+    }
 }
 
 /// One ring slot of a shard's CLOCK: the entry plus its referenced bit.

@@ -9,9 +9,10 @@
 //!   door, its canonical (labeling-independent) fingerprint computed
 //!   *without compiling* ([`qdm_qubo::model::QuboModel::canonical_form`]),
 //!   and the job routed by consistent-hashing that fingerprint. Duplicates
-//!   of a hot QUBO — even relabeled ones — always land on the shard that
-//!   already has it cached and single-flight there, so a burst of
-//!   permuted duplicates compiles **once cluster-wide**.
+//!   of a hot QUBO — and relabeled ones the canonical labeling recognizes
+//!   — always land on the shard that already has it cached and
+//!   single-flight there, so a burst of such duplicates compiles **once
+//!   cluster-wide**. The flight leader reuses the routed canonical form.
 //! - **Admission control** — each tenant draws from a token bucket
 //!   ([`AdmissionConfig`]) denominated in **predicted seconds** of
 //!   backend time (the [`crate::cost`] model's quote for the routed
@@ -646,6 +647,7 @@ impl ClusterSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheKey;
     use crate::cost::{analytic_seconds, CostShape};
     use crate::service::SharedProblem;
     use qdm_core::problem::{Decoded, DmProblem};
@@ -739,6 +741,30 @@ mod tests {
             service: ServiceConfig { workers: 1, cache_capacity: 16, ..Default::default() },
             ..Default::default()
         })
+    }
+
+    #[test]
+    fn routed_job_treats_a_colliding_entry_of_another_size_as_a_miss() {
+        // A 3-variable result stored under the 4-variable model's key: what
+        // a 64-bit fingerprint collision across model sizes would leave.
+        // Served, its short assignment would panic the translation.
+        let donor = small_cluster(1);
+        let donor_session = donor.session("t", SessionConfig::default());
+        donor_session.submit(JobSpec::new(pick(3), 3)).unwrap().wait().expect("solvable");
+        let mut snapshots = donor.save_snapshots();
+        let (_, wrong_size) = snapshots[0].entries.remove(0);
+        let spec = JobSpec::new(pick(4), 3);
+        let fingerprint = spec.problem.to_qubo().canonical_fingerprint();
+        let key = CacheKey::new(spec.problem.name(), fingerprint, &spec.options, 3, None);
+        snapshots[0].entries = vec![(key, wrong_size)];
+        let cluster = small_cluster(1);
+        cluster.load_snapshots(&snapshots);
+
+        let session = cluster.session("t", SessionConfig::default());
+        let result = session.submit(spec).expect("admitted").wait().expect("solves, no panic");
+        assert!(!result.from_cache);
+        assert_eq!(result.report.bits.len(), 4);
+        assert!(result.report.decoded.feasible);
     }
 
     #[test]

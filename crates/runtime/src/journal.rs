@@ -36,11 +36,20 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// Version byte leading every journal record and snapshot image.
+/// Version byte leading every journal record. Recovery keys on job ids; the
+/// fingerprint in a `Completed` record is informational, so a change of
+/// fingerprint hash leaves this version alone.
 const JOURNAL_CODEC_VERSION: u8 = 1;
 
 /// Magic prefix of a serialized [`SolutionSnapshot`].
 const SNAPSHOT_MAGIC: &[u8; 7] = b"QDMSNAP";
+
+/// Version byte following [`SNAPSHOT_MAGIC`]. Snapshot entries are keyed
+/// by canonical fingerprints, so this moves whenever the fingerprint hash
+/// or the canonical labeling changes: an image from an older build would
+/// load entries that no key of this build can reach. Version 1 images used
+/// byte-wise FNV-1a fingerprints.
+const SNAPSHOT_FORMAT_VERSION: u8 = 2;
 
 // ---------------------------------------------------------------------------
 // Events
@@ -621,7 +630,7 @@ impl SolutionSnapshot {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(SNAPSHOT_MAGIC);
-        out.push(JOURNAL_CODEC_VERSION);
+        out.push(SNAPSHOT_FORMAT_VERSION);
         put_u64(&mut out, self.entries.len() as u64);
         for (key, value) in &self.entries {
             put_cache_key(&mut out, key);
@@ -632,11 +641,12 @@ impl SolutionSnapshot {
         out
     }
 
-    /// Decodes a snapshot image; `None` on bad magic, version mismatch,
+    /// Decodes a snapshot image; `None` on bad magic, version mismatch
+    /// (including images from builds with another fingerprint hash),
     /// truncation, or trailing garbage.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut r = Reader::new(bytes);
-        if r.take(SNAPSHOT_MAGIC.len())? != SNAPSHOT_MAGIC || r.u8()? != JOURNAL_CODEC_VERSION {
+        if r.take(SNAPSHOT_MAGIC.len())? != SNAPSHOT_MAGIC || r.u8()? != SNAPSHOT_FORMAT_VERSION {
             return None;
         }
         let count = usize::try_from(r.u64()?).ok()?;
@@ -859,5 +869,16 @@ mod tests {
         let read = SolutionSnapshot::read_from(&path).expect("read");
         assert_eq!(read.len(), 1);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn snapshot_from_an_older_fingerprint_hash_is_refused() {
+        let bytes = SolutionSnapshot::default().to_bytes();
+        assert_eq!(bytes[SNAPSHOT_MAGIC.len()], SNAPSHOT_FORMAT_VERSION);
+        assert!(SolutionSnapshot::from_bytes(&bytes).is_some());
+        // Version 1 images were keyed by byte-wise FNV-1a fingerprints.
+        let mut old = bytes;
+        old[SNAPSHOT_MAGIC.len()] = 1;
+        assert!(SolutionSnapshot::from_bytes(&old).is_none());
     }
 }

@@ -51,10 +51,10 @@
 //!   completes but reports [`service::JobError::Cancelled`] to late
 //!   waiters);
 //! - [`cache`] — the fingerprint-sharded result cache keyed by the
-//!   permutation-invariant canonical QUBO fingerprint (computed on the
-//!   job's shared compilation) + options + seed, serving repeated
-//!   instances bit-identically — and permuted re-encodings of the same
-//!   instance via canonical-assignment translation — without re-solving;
+//!   canonical QUBO fingerprint + options + seed, serving repeated
+//!   instances bit-identically — and the permuted re-encodings the
+//!   canonical labeling recognizes via canonical-assignment translation —
+//!   without re-solving;
 //!   per-shard eviction is second-chance (CLOCK), so hot fingerprints
 //!   survive churn plain FIFO would evict them under;
 //! - [`portfolio`] — the adaptive scheduler routing (and, for races,
@@ -69,8 +69,9 @@
 //! - [`cluster`] — the sharded front-end ([`cluster::ClusterService`]):
 //!   N independent services behind one session API, jobs routed by
 //!   consistent-hashing the canonical fingerprint (duplicates of a hot
-//!   QUBO — even relabeled ones — land on the shard that has it cached
-//!   and single-flight there, compiling once cluster-wide), per-tenant
+//!   QUBO — and relabeled ones the canonical labeling recognizes — land
+//!   on the shard that has it cached and single-flight there, compiling
+//!   once cluster-wide), per-tenant
 //!   token-bucket admission control on an injectable [`cluster::Clock`],
 //!   watermark load shedding ([`submit::SubmitError::Overloaded`] with a
 //!   retry hint), and deterministic cross-shard queue migration — results

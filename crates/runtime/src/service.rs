@@ -1327,8 +1327,9 @@ fn process(
 /// permutation and scores bits with its own (uncompiled) model —
 /// [`qdm_qubo::model::QuboModel::energy`] is bit-identical to the compiled
 /// evaluation — so serving never costs a compilation. Only a flight leader
-/// compiles, inside [`lead`]: its `extend` with the canonical key this
-/// lease already holds is an idempotent no-op.
+/// compiles, inside [`lead`], and it never canonicalizes: its attempt
+/// context is seeded from the route. Its `extend` with the canonical key
+/// this lease already holds is an idempotent no-op.
 fn process_routed(
     shared: &Shared,
     spec: &JobSpec,
@@ -1345,7 +1346,7 @@ fn process_routed(
     }
     let key =
         CacheKey::new(spec.problem.name(), route.canonical_fp, &spec.options, spec.seed, requested);
-    if let Some(cached) = shared.cache.get(&key) {
+    if let Some(cached) = shared.cache.get(&key).filter(|cached| cached.fits(n_vars)) {
         shared.metrics.on_cache_hit();
         let serve_start_ns = if trace.is_some() { shared.now_ns() } else { 0 };
         let result = serve_cached(spec, |bits| qubo.energy(bits), &route.perm, cached);
@@ -1365,6 +1366,10 @@ fn process_routed(
     loop {
         match shared.inflight.join_or_lead(FlightKey::Canonical(key.clone())) {
             FlightRole::Leader(lease) => {
+                // The route already canonicalized this labeling (the same
+                // algorithm on the same coefficients as the compiled form),
+                // so the leader's compile span covers the compile alone.
+                ctx.canonical.get_or_insert_with(|| (route.canonical_fp, Arc::clone(&route.perm)));
                 return lead(shared, spec, qubo, n_vars, requested, lease, trace, ctx);
             }
             FlightRole::Follower(flight) => {
@@ -1467,7 +1472,7 @@ fn lead(
         });
     }
     let key = CacheKey::new(spec.problem.name(), canonical_fp, &spec.options, spec.seed, requested);
-    if let Some(cached) = shared.cache.get(&key) {
+    if let Some(cached) = shared.cache.get(&key).filter(|cached| cached.fits(n_vars)) {
         shared.metrics.on_cache_hit();
         let serve_start_ns = if tracing { shared.now_ns() } else { 0 };
         let result = serve_cached(spec, |bits| compiled.energy(bits), &perm, cached.clone());
@@ -2105,6 +2110,27 @@ mod tests {
         assert_eq!(report.cache_hits, 1);
         assert_eq!(report.cache_misses, 1);
         assert!(report.cache_hit_rate() > 0.0);
+    }
+
+    #[test]
+    fn colliding_cache_entry_of_another_size_is_a_miss() {
+        // A 3-variable result stored under the 4-variable model's key: what
+        // a 64-bit fingerprint collision across model sizes would leave.
+        // Served, its short assignment would panic the translation.
+        let donor = SolverService::new(ServiceConfig { workers: 1, ..Default::default() });
+        donor.run(JobSpec::new(pick(3), 3)).expect("solvable");
+        let (_, wrong_size) = donor.save_snapshot().entries.remove(0);
+        let spec = JobSpec::new(pick(4), 3);
+        let fingerprint = spec.problem.to_qubo().canonical_fingerprint();
+        let key = CacheKey::new(spec.problem.name(), fingerprint, &spec.options, 3, None);
+        let service = SolverService::new(ServiceConfig { workers: 1, ..Default::default() });
+        service.load_snapshot(&SolutionSnapshot { entries: vec![(key, wrong_size)] });
+
+        let result = service.run(spec).expect("the job solves instead of panicking");
+        assert!(!result.from_cache);
+        assert_eq!(result.report.bits.len(), 4);
+        assert!(result.report.decoded.feasible);
+        assert_eq!(service.report().cache_hits, 0);
     }
 
     #[test]

@@ -509,8 +509,17 @@ fn cluster_crash_recovers_every_shard_bit_identically() {
         let label = format!("site={}", site.name());
         let shard_count = 4;
         let sizes: Vec<usize> = (3..15).collect();
+        // Pinned: Auto routing prices backends from wall-clock calibration,
+        // so two clusters may route one job to serial or parallel SA. This
+        // test is about recovery, not routing.
         let specs = |sizes: &[usize]| -> Vec<JobSpec> {
-            sizes.iter().enumerate().map(|(i, &n)| JobSpec::new(pick(n), 100 + i as u64)).collect()
+            sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| {
+                    JobSpec::new(pick(n), 100 + i as u64).on_backend("simulated-annealing")
+                })
+                .collect()
         };
 
         // Clean baseline cluster: same sharding, same per-shard arrival
