@@ -1,6 +1,7 @@
 //! E2/E7 — solver benchmarks: every Fig. 2 route timed on the same QUBO,
 //! annealing scaling with problem size, and the compiled-CSR vs.
-//! BTreeMap-path comparison (`solvers/*`) whose headline ratio is printed
+//! model-coupling-scan comparison (`solvers/*`; JSON keys keep their
+//! original `btreemap` name) whose headline ratio is printed
 //! as `solvers/compiled_speedup` and recorded in `BENCH_solvers.json` at
 //! the workspace root so future PRs have a perf trajectory to diff against.
 
@@ -64,7 +65,7 @@ fn random_assignment(n: usize, rng: &mut StdRng) -> Vec<bool> {
 }
 
 /// One Metropolis sweep on the seed path: every flip delta re-derived from
-/// the model's BTreeMap via `QuboModel::flip_delta` (O(m) per proposal).
+/// the model's couplings via `QuboModel::flip_delta` (O(m) per proposal).
 fn sa_sweep_btreemap(q: &QuboModel, x: &mut [bool], t: f64, rng: &mut StdRng) -> f64 {
     let mut moved = 0.0;
     for i in 0..q.n_vars() {
@@ -81,7 +82,7 @@ fn sa_sweep_btreemap(q: &QuboModel, x: &mut [bool], t: f64, rng: &mut StdRng) ->
 /// local fields over `neighbor_lists()` Vec-of-Vec adjacency (O(deg) per
 /// accepted flip, but pointer-chasing per-row heap allocations). This is
 /// the honest "what did the CSR layout itself buy" baseline, as opposed to
-/// the O(m)-per-proposal BTreeMap path above.
+/// the O(m)-per-proposal coupling-scan path above.
 fn sa_sweep_neighbor_lists(
     adj: &[Vec<(usize, f64)>],
     x: &mut [bool],
@@ -197,7 +198,7 @@ fn bench_compiled_vs_btreemap(c: &mut Criterion) {
     );
     // The seed-style incremental sweep over Vec-of-Vec adjacency: the
     // honest measure of what the CSR layout itself bought, since the seed
-    // annealers never paid the O(m) BTreeMap scan per proposal.
+    // annealers never paid the O(m) coupling scan per proposal.
     let adj = q.neighbor_lists();
     let mut rng_c = StdRng::seed_from_u64(13);
     let mut x_c = random_assignment(n, &mut rng_c);
@@ -216,7 +217,7 @@ fn bench_compiled_vs_btreemap(c: &mut Criterion) {
     let speedup = btreemap_ns / compiled_ns;
     let layout_speedup = adjacency_ns / compiled_ns;
     println!(
-        "solvers/compiled_speedup: {speedup:.2}x vs BTreeMap path, {layout_speedup:.2}x vs seed \
+        "solvers/compiled_speedup: {speedup:.2}x vs coupling-scan path, {layout_speedup:.2}x vs seed \
          adjacency lists ({n} vars, {} couplings, SA sweep {:.1} µs btreemap / {:.2} µs \
          neighbor-lists / {:.2} µs compiled)",
         q.n_interactions(),

@@ -215,6 +215,7 @@ impl DmProblem for JoinOrderProblem {
             let vars: Vec<usize> = (0..n).map(|r| self.var(r, l)).collect();
             penalty::exactly_one(&mut q, &vars, self.penalty_weight);
         }
+        q.fold_couplings();
         q
     }
 

@@ -211,6 +211,7 @@ impl DmProblem for MqoProblem {
         for query in 0..self.instance.n_queries {
             penalty::exactly_one(&mut q, &self.instance.plans_of(query), self.penalty_weight);
         }
+        q.fold_couplings();
         q
     }
 

@@ -383,6 +383,7 @@ impl DmProblem for SchemaMatchingProblem {
             let vars: Vec<usize> = (0..ns).map(|i| self.var(i, j)).collect();
             penalty::at_most_one(&mut q, &vars, self.penalty_weight);
         }
+        q.fold_couplings();
         q
     }
 

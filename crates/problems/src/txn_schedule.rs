@@ -112,6 +112,7 @@ impl DmProblem for TxnScheduleProblem {
             let vars: Vec<usize> = (0..self.horizon).map(|s| self.var(t, s)).collect();
             penalty::exactly_one(&mut q, &vars, self.penalty_weight);
         }
+        q.fold_couplings();
         q
     }
 

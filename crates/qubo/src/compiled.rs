@@ -2,11 +2,12 @@
 //!
 //! Every workload in the paper's Table I — join ordering, MQO, transaction
 //! scheduling — bottoms out in repeated QUBO energy and flip-delta
-//! evaluations. [`QuboModel`] stores its couplings in a `BTreeMap`, which is
-//! the right structure for incremental construction and canonical
-//! fingerprinting but a poor one for the millions of evaluations a single
-//! annealing run performs: every energy walks tree nodes pointer-by-pointer
-//! and every generic [`QuboModel::flip_delta`] scans all `m` couplings.
+//! evaluations. [`QuboModel`] stores its couplings in one flat array sorted
+//! by `(i, j)`, which is the right structure for append-only construction
+//! and canonical fingerprinting but a poor one for the millions of
+//! evaluations a single annealing run performs: every energy scans all `m`
+//! couplings whatever the assignment, and every generic
+//! [`QuboModel::flip_delta`] scans all `m` couplings for one variable's row.
 //!
 //! [`CompiledQubo`] is the solver-facing form: one [`QuboModel::compile`]
 //! call flattens the model into CSR adjacency — a row-offset array plus
@@ -288,7 +289,7 @@ impl CompiledQubo {
         // Each coupling appears in both endpoint rows; walking only the
         // precomputed `j > i` suffix of each row visits every pair exactly
         // once — no branch, half the memory traffic — in the same sorted
-        // (i, j) order the model's BTreeMap iterates.
+        // (i, j) order the model's coupling array holds.
         for i in 0..self.n_vars {
             if !x[i] {
                 continue;

@@ -4,27 +4,206 @@
 //! paper, "one of the most widely applied optimization models" for quantum
 //! computing: every Table I work maps its database problem onto one. We store
 //! the coefficient matrix sparsely in upper-triangular form: `linear[i]`
-//! holds `Q_ii` and `quadratic[(i, j)]` with `i < j` holds `Q_ij + Q_ji`.
+//! holds `Q_ii`, and one flat coupling array holds `Q_ij + Q_ji` for each
+//! `i < j`, keyed by the packed pair word `i << 32 | j`.
+//!
+//! Encoders add every coupling once, so the array is built append-only: each
+//! `add_quadratic` pushes `(key, w)`, and the first read *folds* the pending
+//! adds with one stable sort by key (a radix sort past a small size),
+//! summing each key's weights in call order and dropping zero sums. That yields exactly the values, order and pruning a
+//! sorted map updated add by add would hold, so every reader walks one sorted
+//! slice. A write after a read sorts only the new tail and merges it into the
+//! folded prefix.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 /// A quadratic unconstrained binary optimization model.
 ///
 /// Energy of an assignment `x in {0,1}^n`:
 /// `E(x) = sum_i linear[i] x_i + sum_{i<j} quadratic[(i,j)] x_i x_j + offset`.
+///
+/// Couplings live in one flat array (see the [module docs](self)); reads
+/// take `&self` and fold pending adds on demand, so a model shared across
+/// threads stays `Sync`. [`Self::fold_couplings`] moves that one-time cost
+/// to the builder.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct QuboModel {
     n_vars: usize,
     linear: Vec<f64>,
-    quadratic: BTreeMap<(usize, usize), f64>,
+    quadratic: Couplings,
     offset: f64,
+}
+
+/// The flat coupling store behind [`QuboModel`]. Writes go through
+/// `&mut self` and never lock. Reads share the lock; the first read after
+/// a write takes it exclusively once to fold. A reader's guard always sees
+/// a folded log, and a log only unfolds through `&mut`, so a fold never
+/// waits on a long-lived guard.
+#[derive(Default)]
+struct Couplings(RwLock<CouplingLog>);
+
+/// `(pair_word(i, j), w)` entries with `i < j`: a folded prefix
+/// `entries[..folded_len]` (strictly ascending keys, no zero weights)
+/// followed by the adds since, in call order.
+#[derive(Default)]
+struct CouplingLog {
+    entries: Vec<(u64, f64)>,
+    folded_len: usize,
+}
+
+impl Couplings {
+    /// A store holding an already-folded array.
+    fn from_folded(entries: Vec<(u64, f64)>) -> Self {
+        let folded_len = entries.len();
+        Self(RwLock::new(CouplingLog { entries, folded_len }))
+    }
+
+    fn log_mut(&mut self) -> &mut CouplingLog {
+        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The log, folded: `entries` ascending by key with non-zero weights.
+    /// Only [`CouplingLog::fold`] runs under the write lock and it cannot
+    /// panic, so the lock never poisons; recovering a guard regardless
+    /// keeps readers panic-free.
+    fn read(&self) -> RwLockReadGuard<'_, CouplingLog> {
+        let log = self.0.read().unwrap_or_else(PoisonError::into_inner);
+        if log.folded_len == log.entries.len() {
+            return log;
+        }
+        drop(log);
+        self.0.write().unwrap_or_else(PoisonError::into_inner).fold();
+        self.0.read().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl CouplingLog {
+    /// Stably sorts the adds since the last fold by key, merges them behind
+    /// the folded prefix (a prefix entry precedes the later adds to its
+    /// key, as it did in call order), then sums each key's run in order
+    /// and drops zero sums. Summing from `0.0` and restarting at an exact
+    /// zero are the same thing in IEEE arithmetic, so every surviving sum
+    /// is bit-identical to updating a sorted map add by add and removing
+    /// entries that reach zero.
+    fn fold(&mut self) {
+        let entries = &mut self.entries;
+        if entries.len() == self.folded_len {
+            return;
+        }
+        sort_stably_by_key(&mut entries[self.folded_len..]);
+        if self.folded_len > 0 {
+            let (head, tail) = entries.split_at(self.folded_len);
+            let mut merged = Vec::with_capacity(entries.len());
+            let (mut h, mut t) = (0, 0);
+            while h < head.len() && t < tail.len() {
+                if head[h].0 <= tail[t].0 {
+                    merged.push(head[h]);
+                    h += 1;
+                } else {
+                    merged.push(tail[t]);
+                    t += 1;
+                }
+            }
+            merged.extend_from_slice(&head[h..]);
+            merged.extend_from_slice(&tail[t..]);
+            *entries = merged;
+        }
+        let mut kept = 0;
+        let mut run = 0;
+        while run < entries.len() {
+            let key = entries[run].0;
+            let mut sum = 0.0;
+            while run < entries.len() && entries[run].0 == key {
+                sum += entries[run].1;
+                run += 1;
+            }
+            if sum != 0.0 {
+                entries[kept] = (key, sum);
+                kept += 1;
+            }
+        }
+        entries.truncate(kept);
+        entries.shrink_to_fit();
+        self.folded_len = kept;
+    }
+}
+
+/// Sorts `entries` by key, keeping equal keys in their current order.
+/// A stable sort's output is unique, so this is `sort_by_key` at a lower
+/// cost: past a small size it is a least-significant-byte-first radix sort
+/// that skips the bytes on which every key agrees. Keys pack two variable
+/// indices, so a model of up to 256 variables sorts in two passes.
+fn sort_stably_by_key(entries: &mut [(u64, f64)]) {
+    if entries.len() < 64 {
+        entries.sort_by_key(|&(key, _)| key);
+        return;
+    }
+    let (all, any) =
+        entries.iter().fold((!0u64, 0u64), |(all, any), &(key, _)| (all & key, any | key));
+    let varying = all ^ any;
+    let mut spare = vec![(0u64, 0.0f64); entries.len()];
+    let mut in_spare = false;
+    for shift in (0..64u32).step_by(8).filter(|&shift| (varying >> shift) & 0xff != 0) {
+        if in_spare {
+            scatter_by_byte(&spare, entries, shift);
+        } else {
+            scatter_by_byte(entries, &mut spare, shift);
+        }
+        in_spare = !in_spare;
+    }
+    if in_spare {
+        entries.copy_from_slice(&spare);
+    }
+}
+
+/// One stable counting-sort pass: `src` into `dst` ordered by the key byte
+/// at `shift`.
+fn scatter_by_byte(src: &[(u64, f64)], dst: &mut [(u64, f64)], shift: u32) {
+    let digit = |key: u64| (key >> shift) as usize & 0xff;
+    let mut next = [0usize; 256];
+    for &(key, _) in src {
+        next[digit(key)] += 1;
+    }
+    let mut start = 0;
+    for slot in &mut next {
+        (*slot, start) = (start, start + *slot);
+    }
+    for &entry in src {
+        let slot = &mut next[digit(entry.0)];
+        dst[*slot] = entry;
+        *slot += 1;
+    }
+}
+
+impl Clone for Couplings {
+    fn clone(&self) -> Self {
+        Self::from_folded(self.read().entries.clone())
+    }
+}
+
+impl PartialEq for Couplings {
+    fn eq(&self, other: &Self) -> bool {
+        self.read().entries == other.read().entries
+    }
+}
+
+impl std::fmt::Debug for Couplings {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let log = self.read();
+        f.debug_map().entries(log.entries.iter().map(|&(key, w)| (unpack(key), w))).finish()
+    }
 }
 
 impl QuboModel {
     /// Creates an all-zero model over `n_vars` binary variables.
+    ///
+    /// # Panics
+    /// Panics if `n_vars` exceeds `2^32` (couplings pack both indices into
+    /// one 64-bit key).
     pub fn new(n_vars: usize) -> Self {
-        Self { n_vars, linear: vec![0.0; n_vars], quadratic: BTreeMap::new(), offset: 0.0 }
+        assert!(n_vars as u64 <= 1 << 32, "{n_vars} variables exceeds the coupling key width");
+        Self { n_vars, linear: vec![0.0; n_vars], quadratic: Couplings::default(), offset: 0.0 }
     }
 
     /// Number of binary variables.
@@ -61,15 +240,27 @@ impl QuboModel {
         self
     }
 
-    /// Quadratic coefficient of the (unordered) pair `{i, j}`.
+    /// Quadratic coefficient of the (unordered) pair `{i, j}`: a binary
+    /// search over the folded couplings.
     #[inline]
     pub fn quadratic(&self, i: usize, j: usize) -> f64 {
-        let key = if i < j { (i, j) } else { (j, i) };
-        self.quadratic.get(&key).copied().unwrap_or(0.0)
+        let (i, j) = if i < j { (i, j) } else { (j, i) };
+        // `pair_word` is injective only below 2^32, which `n_vars` bounds.
+        if j >= self.n_vars {
+            return 0.0;
+        }
+        let log = self.quadratic.read();
+        match log.entries.binary_search_by_key(&pair_word(i, j), |&(key, _)| key) {
+            Ok(at) => log.entries[at].1,
+            Err(_) => 0.0,
+        }
     }
 
     /// Adds `w` to the quadratic coefficient of pair `{i, j}`. Adding to the
     /// diagonal (`i == j`) folds into the linear term since `x^2 = x`.
+    ///
+    /// `O(1)` amortized: the add is appended and summed into the pair's
+    /// coefficient by the next fold (see the [module docs](self)).
     ///
     /// # Panics
     /// Panics if either index is out of range.
@@ -78,24 +269,35 @@ impl QuboModel {
         if i == j {
             self.linear[i] += w;
         } else {
-            let key = if i < j { (i, j) } else { (j, i) };
-            let entry = self.quadratic.entry(key).or_insert(0.0);
-            *entry += w;
-            if *entry == 0.0 {
-                self.quadratic.remove(&key);
-            }
+            let (i, j) = if i < j { (i, j) } else { (j, i) };
+            self.quadratic.log_mut().entries.push((pair_word(i, j), w));
         }
         self
     }
 
-    /// Iterates over non-zero quadratic terms as `((i, j), weight)` with `i < j`.
+    /// Folds pending coupling adds now rather than on the first read.
+    /// Readers fold on demand anyway; encoders call this last so the fold
+    /// is charged to building the model, not to whoever reads it first.
+    pub fn fold_couplings(&mut self) -> &mut Self {
+        self.quadratic.log_mut().fold();
+        self
+    }
+
+    /// Iterates over non-zero quadratic terms as `((i, j), weight)` with
+    /// `i < j`, in ascending `(i, j)` order.
     pub fn quadratic_iter(&self) -> impl Iterator<Item = ((usize, usize), f64)> + '_ {
-        self.quadratic.iter().map(|(&k, &v)| (k, v))
+        let log = self.quadratic.read();
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let &(key, w) = log.entries.get(at)?;
+            at += 1;
+            Some((unpack(key), w))
+        })
     }
 
     /// Number of non-zero quadratic couplings.
     pub fn n_interactions(&self) -> usize {
-        self.quadratic.len()
+        self.quadratic.read().entries.len()
     }
 
     /// Evaluates the energy of a binary assignment.
@@ -110,7 +312,7 @@ impl QuboModel {
                 e += w;
             }
         }
-        for (&(i, j), &w) in &self.quadratic {
+        for ((i, j), w) in self.quadratic_iter() {
             if x[i] && x[j] {
                 e += w;
             }
@@ -121,7 +323,7 @@ impl QuboModel {
     /// Energy change from flipping variable `i` in assignment `x`
     /// (`x` is the state *before* the flip).
     ///
-    /// This is the slow generic path: it scans the whole coupling map in
+    /// This is the slow generic path: it scans the whole coupling array in
     /// `O(m)` per call. It exists for one-off checks and tests. Anything
     /// evaluating flips repeatedly — every solver hot loop — should call
     /// [`Self::compile`] once and use
@@ -131,7 +333,7 @@ impl QuboModel {
     /// bookkeeping instead.
     pub fn flip_delta(&self, x: &[bool], i: usize) -> f64 {
         let mut local = self.linear[i];
-        for (&(a, b), &w) in &self.quadratic {
+        for ((a, b), w) in self.quadratic_iter() {
             if (a == i && x[b]) || (b == i && x[a]) {
                 local += w;
             }
@@ -151,7 +353,7 @@ impl QuboModel {
     /// materialization pays.
     pub fn neighbor_lists(&self) -> Vec<Vec<(usize, f64)>> {
         let mut adj = vec![Vec::new(); self.n_vars];
-        for (&(i, j), &w) in &self.quadratic {
+        for ((i, j), w) in self.quadratic_iter() {
             adj[i].push((j, w));
             adj[j].push((i, w));
         }
@@ -209,7 +411,7 @@ impl QuboModel {
         for (v, &c) in comp.iter().enumerate() {
             models[c].add_linear(local_of[v], self.linear[v]);
         }
-        for (&(i, j), &w) in &self.quadratic {
+        for ((i, j), w) in self.quadratic_iter() {
             debug_assert_eq!(comp[i], comp[j]);
             models[comp[i]].add_quadratic(local_of[i], local_of[j], w);
         }
@@ -227,11 +429,11 @@ impl QuboModel {
     /// pattern, `-0.0` normalized to `0.0`).
     ///
     /// Two models built through any sequence of `add_*` calls that produce
-    /// the same coefficients fingerprint identically, because storage is
-    /// already canonical: upper-triangular sorted keys with zero couplings
-    /// pruned. `qdm-runtime` keys its result cache on this, so repeated
-    /// encodings of the same MQO / join-ordering instance are served without
-    /// re-solving. Fingerprints are stable within a build, not across
+    /// the same coefficients fingerprint identically, because the folded
+    /// couplings are canonical: upper-triangular sorted keys with zero
+    /// couplings pruned. `qdm-runtime` keys its result cache on this, so
+    /// repeated encodings of the same MQO / join-ordering instance are
+    /// served without re-solving. Fingerprints are stable within a build, not across
     /// builds that change the hash: persisted images keyed on them carry
     /// their own format version.
     pub fn fingerprint(&self) -> u64 {
@@ -239,8 +441,8 @@ impl QuboModel {
         for &w in &self.linear {
             h = mix(h, f64_bits(w));
         }
-        for (&(i, j), &w) in &self.quadratic {
-            h = mix(mix(h, pair_word(i, j)), f64_bits(w));
+        for &(key, w) in &self.quadratic.read().entries {
+            h = mix(mix(h, key), f64_bits(w));
         }
         mix(h, f64_bits(self.offset))
     }
@@ -299,7 +501,8 @@ impl QuboModel {
     pub fn naive_lower_bound(&self) -> f64 {
         let mut b = self.offset;
         b += self.linear.iter().filter(|w| **w < 0.0).sum::<f64>();
-        b += self.quadratic.values().filter(|w| **w < 0.0).sum::<f64>();
+        b +=
+            self.quadratic.read().entries.iter().map(|&(_, w)| w).filter(|w| *w < 0.0).sum::<f64>();
         b
     }
 
@@ -307,7 +510,7 @@ impl QuboModel {
     /// strength heuristics.
     pub fn max_abs_coefficient(&self) -> f64 {
         let l = self.linear.iter().fold(0.0f64, |m, w| m.max(w.abs()));
-        let q = self.quadratic.values().fold(0.0f64, |m, w| m.max(w.abs()));
+        let q = self.quadratic.read().entries.iter().fold(0.0f64, |m, &(_, w)| m.max(w.abs()));
         l.max(q)
     }
 
@@ -319,14 +522,17 @@ impl QuboModel {
     /// model that is `==` to the original and shares its
     /// [`QuboModel::fingerprint`].
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + 8 * self.linear.len() + 24 * self.quadratic.len());
+        let log = self.quadratic.read();
+        let couplings = &log.entries;
+        let mut out = Vec::with_capacity(16 + 8 * self.linear.len() + 24 * couplings.len());
         out.push(QUBO_CODEC_VERSION);
         out.extend_from_slice(&(self.n_vars as u64).to_le_bytes());
         for &w in &self.linear {
             out.extend_from_slice(&w.to_le_bytes());
         }
-        out.extend_from_slice(&(self.quadratic.len() as u64).to_le_bytes());
-        for (&(i, j), &w) in &self.quadratic {
+        out.extend_from_slice(&(couplings.len() as u64).to_le_bytes());
+        for &(key, w) in couplings {
+            let (i, j) = unpack(key);
             out.extend_from_slice(&(i as u64).to_le_bytes());
             out.extend_from_slice(&(j as u64).to_le_bytes());
             out.extend_from_slice(&w.to_le_bytes());
@@ -337,7 +543,9 @@ impl QuboModel {
 
     /// Decodes a record produced by [`QuboModel::to_bytes`]. Returns `None`
     /// for a truncated, oversized, or differently-versioned record — the
-    /// torn-tail case a crashed writer leaves behind — never panics.
+    /// torn-tail case a crashed writer leaves behind — and for couplings
+    /// `to_bytes` never writes: keys out of range or not strictly
+    /// ascending, or zero weights. Never panics.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut cur = Cursor { bytes, at: 0 };
         if cur.u8()? != QUBO_CODEC_VERSION {
@@ -356,21 +564,25 @@ impl QuboModel {
         if n_quad > bytes.len() / 24 {
             return None;
         }
-        let mut quadratic = BTreeMap::new();
+        let mut couplings: Vec<(u64, f64)> = Vec::with_capacity(n_quad);
         for _ in 0..n_quad {
             let i = usize::try_from(cur.u64()?).ok()?;
             let j = usize::try_from(cur.u64()?).ok()?;
             let w = cur.f64()?;
-            if i >= j || j >= n_vars {
+            if i >= j || j >= n_vars || w == 0.0 {
                 return None;
             }
-            quadratic.insert((i, j), w);
+            let key = pair_word(i, j);
+            if couplings.last().is_some_and(|&(prev, _)| prev >= key) {
+                return None;
+            }
+            couplings.push((key, w));
         }
         let offset = cur.f64()?;
         if cur.at != bytes.len() {
             return None;
         }
-        Some(Self { n_vars, linear, quadratic, offset })
+        Some(Self { n_vars, linear, quadratic: Couplings::from_folded(couplings), offset })
     }
 }
 
@@ -390,11 +602,19 @@ pub(crate) fn mix(h: u64, word: u64) -> u64 {
     (product as u64) ^ ((product >> 64) as u64)
 }
 
-/// A coupling's `(i, j)` key packed into one hash word. Injective for
-/// indices below 2^32, which covers every model a CSR compilation accepts.
+/// A coupling's `(i, j)` key packed into one word: the storage key of
+/// [`QuboModel`]'s coupling array and the word its fingerprint hashes.
+/// Injective, and ordered like `(i, j)`, for indices below 2^32, which
+/// [`QuboModel::new`] guarantees.
 #[inline]
 pub(crate) fn pair_word(i: usize, j: usize) -> u64 {
     (i as u64) << 32 | j as u64
+}
+
+/// Inverse of [`pair_word`].
+#[inline]
+fn unpack(key: u64) -> (usize, usize) {
+    ((key >> 32) as usize, (key & 0xffff_ffff) as usize)
 }
 
 /// An `f64`'s IEEE-754 bit pattern with `-0.0` normalized to `0.0`, so
@@ -697,5 +917,229 @@ mod tests {
         let mut wrong = bytes;
         wrong[0] ^= 0xFF;
         assert_eq!(QuboModel::from_bytes(&wrong), None);
+    }
+
+    /// A hand-assembled record: `n_vars` zero linear terms, the given
+    /// couplings verbatim, zero offset.
+    fn record(n_vars: u64, couplings: &[(u64, u64, f64)]) -> Vec<u8> {
+        let mut out = vec![QUBO_CODEC_VERSION];
+        out.extend_from_slice(&n_vars.to_le_bytes());
+        out.resize(out.len() + 8 * n_vars as usize, 0);
+        out.extend_from_slice(&(couplings.len() as u64).to_le_bytes());
+        for &(i, j, w) in couplings {
+            out.extend_from_slice(&i.to_le_bytes());
+            out.extend_from_slice(&j.to_le_bytes());
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+        out.extend_from_slice(&0.0f64.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn byte_codec_rejects_couplings_to_bytes_never_writes() {
+        let ok = record(4, &[(0, 1, 1.0), (0, 3, 2.0), (2, 3, -1.0)]);
+        let q = QuboModel::from_bytes(&ok).expect("ascending keys decode");
+        assert_eq!(q.to_bytes(), ok);
+        assert_eq!(q.quadratic(3, 0), 2.0);
+        for bad in [
+            record(4, &[(0, 1, 1.0), (0, 1, 2.0)]), // duplicate key
+            record(4, &[(0, 3, 1.0), (0, 1, 2.0)]), // descending keys
+            record(4, &[(2, 3, 1.0), (0, 1, 2.0)]), // descending rows
+            record(4, &[(0, 1, 0.0)]),              // zero weight
+            record(4, &[(1, 1, 1.0)]),              // diagonal
+            record(4, &[(2, 1, 1.0)]),              // lower triangle
+            record(4, &[(0, 4, 1.0)]),              // out of range
+        ] {
+            assert_eq!(QuboModel::from_bytes(&bad), None);
+        }
+    }
+
+    #[test]
+    fn coupling_store_bits_match_the_sorted_map_store_it_replaced() {
+        // Expected values were produced by the `BTreeMap`-backed model:
+        // fingerprints and codec bytes must not move with the storage.
+        let mut q = QuboModel::new(7);
+        let mut w = 0.1f64;
+        let mut s = 7u64;
+        for step in 0..60usize {
+            s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let (i, j) = ((s >> 33) as usize % 7, (s >> 45) as usize % 7);
+            w = (w * 1.7 - 0.3 * (step % 4) as f64) % 5.0;
+            q.add_quadratic(i, j, w);
+            if step % 9 == 4 {
+                q.add_quadratic(j, i, -q.quadratic(i, j));
+            }
+            if step == 30 {
+                assert!(q.n_interactions() > 0);
+            }
+            q.add_linear(step % 7, 0.25 * step as f64);
+        }
+        q.add_quadratic(0, 6, 1.5).add_quadratic(6, 0, -1.5).add_quadratic(2, 5, -0.0);
+        q.add_offset(-3.5);
+        let fnv = q.to_bytes().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        });
+        assert_eq!(q.n_interactions(), 17);
+        assert_eq!(q.fingerprint(), 0xb553_eff0_fa79_b871);
+        assert_eq!(q.canonical_fingerprint(), 0x0ad7_a95c_8b56_bafd);
+        assert_eq!((q.to_bytes().len(), fnv), (489, 0x64f4_aa6f_f826_3c7f));
+    }
+
+    mod equivalence {
+        //! The flat coupling store against the store it replaced: a sorted
+        //! map updated add by add, with entries removed when they reach
+        //! zero, and the readers written over it.
+
+        use super::super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        struct Reference {
+            n_vars: usize,
+            linear: Vec<f64>,
+            quadratic: BTreeMap<(usize, usize), f64>,
+            offset: f64,
+        }
+
+        impl Reference {
+            fn add_quadratic(&mut self, i: usize, j: usize, w: f64) {
+                if i == j {
+                    self.linear[i] += w;
+                } else {
+                    let key = if i < j { (i, j) } else { (j, i) };
+                    let entry = self.quadratic.entry(key).or_insert(0.0);
+                    *entry += w;
+                    if *entry == 0.0 {
+                        self.quadratic.remove(&key);
+                    }
+                }
+            }
+
+            fn energy(&self, x: &[bool]) -> f64 {
+                let mut e = self.offset;
+                for (&w, &xi) in self.linear.iter().zip(x) {
+                    if xi {
+                        e += w;
+                    }
+                }
+                for (&(i, j), &w) in &self.quadratic {
+                    if x[i] && x[j] {
+                        e += w;
+                    }
+                }
+                e
+            }
+
+            fn fingerprint(&self) -> u64 {
+                let mut h = mix(FINGERPRINT_SEED, self.n_vars as u64);
+                for &w in &self.linear {
+                    h = mix(h, f64_bits(w));
+                }
+                for (&(i, j), &w) in &self.quadratic {
+                    h = mix(mix(h, pair_word(i, j)), f64_bits(w));
+                }
+                mix(h, f64_bits(self.offset))
+            }
+
+            fn to_bytes(&self) -> Vec<u8> {
+                let mut out = vec![QUBO_CODEC_VERSION];
+                out.extend_from_slice(&(self.n_vars as u64).to_le_bytes());
+                for &w in &self.linear {
+                    out.extend_from_slice(&w.to_le_bytes());
+                }
+                out.extend_from_slice(&(self.quadratic.len() as u64).to_le_bytes());
+                for (&(i, j), &w) in &self.quadratic {
+                    out.extend_from_slice(&(i as u64).to_le_bytes());
+                    out.extend_from_slice(&(j as u64).to_le_bytes());
+                    out.extend_from_slice(&w.to_le_bytes());
+                }
+                out.extend_from_slice(&self.offset.to_le_bytes());
+                out
+            }
+        }
+
+        /// Weights chosen to collide: exact cancellations, signed zeros,
+        /// and sums that round (`0.1 + 0.2 != 0.3`).
+        const WEIGHTS: [f64; 12] =
+            [1.0, -1.0, 0.5, -0.5, 0.0, -0.0, 0.1, 0.2, -0.3, 2.25, -2.25, 1e-300];
+
+        fn assert_same(q: &QuboModel, r: &Reference) {
+            let bits = |m: Vec<((usize, usize), f64)>| -> Vec<((usize, usize), u64)> {
+                m.into_iter().map(|(k, w)| (k, w.to_bits())).collect()
+            };
+            let want: Vec<_> = r.quadratic.iter().map(|(&k, &w)| (k, w)).collect();
+            assert_eq!(bits(q.quadratic_iter().collect()), bits(want));
+            assert_eq!(q.n_interactions(), r.quadratic.len());
+            for i in 0..r.n_vars {
+                for j in 0..r.n_vars {
+                    let key = if i < j { (i, j) } else { (j, i) };
+                    let want =
+                        if i == j { 0.0 } else { r.quadratic.get(&key).copied().unwrap_or(0.0) };
+                    assert_eq!(q.quadratic(i, j).to_bits(), want.to_bits(), "({i}, {j})");
+                }
+            }
+            for idx in 0..1usize << r.n_vars {
+                let x = bits_from_index(idx, r.n_vars);
+                assert_eq!(q.energy(&x).to_bits(), r.energy(&x).to_bits());
+            }
+            assert_eq!(q.fingerprint(), r.fingerprint());
+            assert_eq!(q.to_bytes(), r.to_bytes());
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn radix_fold_sort_equals_the_stable_library_sort(
+                entries in collection::vec((0u64..1 << 20, 0u64..1 << 20, 0usize..12), 0..600),
+                spread in 0u32..4,
+            ) {
+                // Narrow keys repeat often; wide ones vary in up to six
+                // bytes, so the sort runs up to six passes.
+                let mut ours: Vec<(u64, f64)> = entries
+                    .iter()
+                    .map(|&(i, j, w)| ((i >> (5 * spread)) << 32 | j >> (5 * spread), WEIGHTS[w]))
+                    .collect();
+                let mut want = ours.clone();
+                want.sort_by_key(|&(key, _)| key);
+                sort_stably_by_key(&mut ours);
+                let bits = |v: &[(u64, f64)]| -> Vec<(u64, u64)> {
+                    v.iter().map(|&(k, w)| (k, w.to_bits())).collect()
+                };
+                assert_eq!(bits(&ours), bits(&want));
+            }
+
+            #[test]
+            fn coupling_store_is_bit_identical_to_a_sorted_map(
+                n in 1usize..7,
+                ops in collection::vec((0usize..6, 0usize..6, 0usize..12, 0usize..8), 0..400),
+                read_every in 0usize..3,
+            ) {
+                let mut q = QuboModel::new(n);
+                let mut r = Reference {
+                    n_vars: n,
+                    linear: vec![0.0; n],
+                    quadratic: BTreeMap::new(),
+                    offset: 0.0,
+                };
+                for (i, j, w, op) in ops {
+                    let (i, j, w) = (i % n, j % n, WEIGHTS[w]);
+                    q.add_quadratic(i, j, w);
+                    r.add_quadratic(i, j, w);
+                    // Mid-stream reads (none, one op in eight, or one in
+                    // two) make later adds merge into a folded prefix;
+                    // without them the fold sorts long tails by radix.
+                    if op < read_every * read_every {
+                        assert_same(&q, &r);
+                    }
+                }
+                assert_same(&q, &r);
+                let copy = q.clone();
+                assert_same(&copy, &r);
+                assert_eq!(copy, q);
+                let decoded = QuboModel::from_bytes(&q.to_bytes()).expect("decodes");
+                assert_same(&decoded, &r);
+            }
+        }
     }
 }

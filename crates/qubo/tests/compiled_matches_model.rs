@@ -1,5 +1,5 @@
 //! Property tests: the compiled CSR form is observationally identical to
-//! the `BTreeMap`-backed model it was built from — same energies, same flip
+//! the model it was built from — same energies, same flip
 //! deltas, same local fields — on randomly generated models, assignments,
 //! and densities (including edge cases like coupling-free models).
 

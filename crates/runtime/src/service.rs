@@ -59,7 +59,7 @@ use qdm_qubo::probe::{StageProbe, TeeProbe};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -373,6 +373,16 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// Raises [`Self::shutting_down`]. Takes the queue guard so the store
+    /// happens under the queue lock: a worker in `next_job` reads the flag
+    /// and then waits on [`Self::job_ready`] without releasing that lock in
+    /// between, so the caller's following `notify_all` cannot fall into
+    /// the gap and leave the worker (and the `join` in `drop`) asleep
+    /// forever.
+    pub(crate) fn begin_shutdown(&self, _queue: &MutexGuard<'_, JobScheduler>) {
+        self.shutting_down.store(true, Ordering::SeqCst);
+    }
+
     /// Nanoseconds since the service epoch (monotonic).
     pub(crate) fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
@@ -790,9 +800,9 @@ impl SolverService {
     /// API for crash-recovery drills; production teardown is `drop`, which
     /// drains gracefully.
     pub fn simulate_crash(self) {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
         {
             let mut queue = self.shared.queue.lock_unpoisoned();
+            self.shared.begin_shutdown(&queue);
             while queue.pop().is_some() {}
         }
         self.shared.delayed.lock_unpoisoned().clear();
@@ -803,7 +813,7 @@ impl SolverService {
 
 impl Drop for SolverService {
     fn drop(&mut self) {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
+        self.shared.begin_shutdown(&self.shared.queue.lock_unpoisoned());
         self.shared.job_ready.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();

@@ -13,6 +13,7 @@ use qdm::qubo::model::QuboModel;
 use qdm::qubo::penalty;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -680,4 +681,42 @@ fn results_with_a_dead_shard_are_bit_identical_to_a_healthy_cluster() {
     assert!(report.failovers >= 1, "at least the first spec re-routed: {report}");
     assert_eq!(report.jobs_failed, 0);
     assert_balanced(&report);
+}
+
+// ---------------------------------------------------------------------------
+// Teardown: dropping a service must never hang on its workers.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn create_submit_drop_cycles_never_hang_teardown() {
+    // Each cycle drops a two-worker service right after its only job
+    // resolves, while the solving worker is on its way back into the
+    // queue wait — the window a shutdown notify can slip through if the
+    // flag is raised outside the queue lock. The cycles run on their own
+    // thread so a hung `join` fails the test instead of stalling it.
+    const CYCLES: u64 = 2_000;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let cycler = std::thread::spawn(move || {
+        for cycle in 0..CYCLES {
+            let service =
+                SolverService::new(ServiceConfig { workers: 2, ..ServiceConfig::default() });
+            let outcome = service.run(JobSpec::new(pick(3), cycle).on_backend("exact"));
+            assert!(outcome.is_ok(), "cycle {cycle}: {outcome:?}");
+            drop(service);
+            if tx.send(cycle).is_err() {
+                return;
+            }
+        }
+    });
+    for cycle in 0..CYCLES {
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(done) => assert_eq!(done, cycle),
+            // The cycling thread panicked; joining it below re-raises that.
+            Err(RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("cycle {cycle}: service teardown did not finish within 10 s")
+            }
+        }
+    }
+    cycler.join().expect("every create/submit/drop cycle succeeds");
 }
