@@ -9,10 +9,10 @@
 //!
 //! Encoders add every coupling once, so the array is built append-only: each
 //! `add_quadratic` pushes `(key, w)`, and the first read *folds* the pending
-//! adds with one stable sort by key (a radix sort past a small size),
-//! summing each key's weights in call order and dropping zero sums. That yields exactly the values, order and pruning a
-//! sorted map updated add by add would hold, so every reader walks one sorted
-//! slice. A write after a read sorts only the new tail and merges it into the
+//! adds with one stable sort by key, summing each key's weights in call
+//! order and dropping zero sums. That yields exactly the values, order and
+//! pruning a sorted map updated add by add would hold, so every reader walks
+//! one sorted slice. A write after a read sorts only the new tail and merges it into the
 //! folded prefix.
 
 use serde::{Deserialize, Serialize};
@@ -38,8 +38,12 @@ pub struct QuboModel {
 /// The flat coupling store behind [`QuboModel`]. Writes go through
 /// `&mut self` and never lock. Reads share the lock; the first read after
 /// a write takes it exclusively once to fold. A reader's guard always sees
-/// a folded log, and a log only unfolds through `&mut`, so a fold never
-/// waits on a long-lived guard.
+/// a folded log, but a fold can still wait on a reader's guard: a thread
+/// that saw the log unfolded may reach the write lock only after another
+/// thread has folded it and taken a guard. A waiting fold also blocks new
+/// readers, so a caller holding a guard (e.g. inside a live
+/// `quadratic_iter`) must not read the same model again (`quadratic_iter`,
+/// `quadratic`, `==`, ...) until it drops the guard.
 #[derive(Default)]
 struct Couplings(RwLock<CouplingLog>);
 
@@ -91,7 +95,7 @@ impl CouplingLog {
         if entries.len() == self.folded_len {
             return;
         }
-        sort_stably_by_key(&mut entries[self.folded_len..]);
+        entries[self.folded_len..].sort_by_key(|&(key, _)| key);
         if self.folded_len > 0 {
             let (head, tail) = entries.split_at(self.folded_len);
             let mut merged = Vec::with_capacity(entries.len());
@@ -129,53 +133,6 @@ impl CouplingLog {
     }
 }
 
-/// Sorts `entries` by key, keeping equal keys in their current order.
-/// A stable sort's output is unique, so this is `sort_by_key` at a lower
-/// cost: past a small size it is a least-significant-byte-first radix sort
-/// that skips the bytes on which every key agrees. Keys pack two variable
-/// indices, so a model of up to 256 variables sorts in two passes.
-fn sort_stably_by_key(entries: &mut [(u64, f64)]) {
-    if entries.len() < 64 {
-        entries.sort_by_key(|&(key, _)| key);
-        return;
-    }
-    let (all, any) =
-        entries.iter().fold((!0u64, 0u64), |(all, any), &(key, _)| (all & key, any | key));
-    let varying = all ^ any;
-    let mut spare = vec![(0u64, 0.0f64); entries.len()];
-    let mut in_spare = false;
-    for shift in (0..64u32).step_by(8).filter(|&shift| (varying >> shift) & 0xff != 0) {
-        if in_spare {
-            scatter_by_byte(&spare, entries, shift);
-        } else {
-            scatter_by_byte(entries, &mut spare, shift);
-        }
-        in_spare = !in_spare;
-    }
-    if in_spare {
-        entries.copy_from_slice(&spare);
-    }
-}
-
-/// One stable counting-sort pass: `src` into `dst` ordered by the key byte
-/// at `shift`.
-fn scatter_by_byte(src: &[(u64, f64)], dst: &mut [(u64, f64)], shift: u32) {
-    let digit = |key: u64| (key >> shift) as usize & 0xff;
-    let mut next = [0usize; 256];
-    for &(key, _) in src {
-        next[digit(key)] += 1;
-    }
-    let mut start = 0;
-    for slot in &mut next {
-        (*slot, start) = (start, start + *slot);
-    }
-    for &entry in src {
-        let slot = &mut next[digit(entry.0)];
-        dst[*slot] = entry;
-        *slot += 1;
-    }
-}
-
 impl Clone for Couplings {
     fn clone(&self) -> Self {
         Self::from_folded(self.read().entries.clone())
@@ -184,6 +141,11 @@ impl Clone for Couplings {
 
 impl PartialEq for Couplings {
     fn eq(&self, other: &Self) -> bool {
+        if std::ptr::eq(self, other) {
+            // A second read of the same store could deadlock; only a NaN
+            // weight makes a store unequal to itself.
+            return !self.read().entries.iter().any(|&(_, w)| w.is_nan());
+        }
         self.read().entries == other.read().entries
     }
 }
@@ -1090,26 +1052,6 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
             #[test]
-            fn radix_fold_sort_equals_the_stable_library_sort(
-                entries in collection::vec((0u64..1 << 20, 0u64..1 << 20, 0usize..12), 0..600),
-                spread in 0u32..4,
-            ) {
-                // Narrow keys repeat often; wide ones vary in up to six
-                // bytes, so the sort runs up to six passes.
-                let mut ours: Vec<(u64, f64)> = entries
-                    .iter()
-                    .map(|&(i, j, w)| ((i >> (5 * spread)) << 32 | j >> (5 * spread), WEIGHTS[w]))
-                    .collect();
-                let mut want = ours.clone();
-                want.sort_by_key(|&(key, _)| key);
-                sort_stably_by_key(&mut ours);
-                let bits = |v: &[(u64, f64)]| -> Vec<(u64, u64)> {
-                    v.iter().map(|&(k, w)| (k, w.to_bits())).collect()
-                };
-                assert_eq!(bits(&ours), bits(&want));
-            }
-
-            #[test]
             fn coupling_store_is_bit_identical_to_a_sorted_map(
                 n in 1usize..7,
                 ops in collection::vec((0usize..6, 0usize..6, 0usize..12, 0usize..8), 0..400),
@@ -1128,7 +1070,7 @@ mod tests {
                     r.add_quadratic(i, j, w);
                     // Mid-stream reads (none, one op in eight, or one in
                     // two) make later adds merge into a folded prefix;
-                    // without them the fold sorts long tails by radix.
+                    // without them one fold sorts the whole log.
                     if op < read_every * read_every {
                         assert_same(&q, &r);
                     }
