@@ -28,8 +28,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Process-wide count of [`CompiledQubo`] constructions.
 ///
 /// This is the compile-once observability hook: `qdm-runtime` compiles each
-/// cache-miss job exactly once and shares the compilation across
-/// fingerprinting, presolve, and every racing backend, and its tests assert
+/// cache-miss job exactly once and shares the compilation across presolve
+/// and every racing backend, and its tests assert
 /// that invariant by diffing this counter around a solve. A relaxed atomic
 /// increment per compilation is far below measurement noise.
 static COMPILATIONS: AtomicU64 = AtomicU64::new(0);
@@ -446,9 +446,8 @@ impl CompiledQubo {
     /// [`QuboModel::canonical_form`] does (both run the same CSR-level
     /// algorithm, [`canonical_form_csr`]).
     ///
-    /// Having this on the compiled form lets `qdm-runtime` derive the cache
-    /// fingerprint from the *same* compilation every backend solves, instead
-    /// of paying a second compile for fingerprinting.
+    /// Having this on the compiled form lets a caller that already holds a
+    /// compilation fingerprint it without building the CSR arrays again.
     pub fn canonical_form(&self) -> (u64, Vec<usize>) {
         canonical_form_csr(
             self.n_vars,

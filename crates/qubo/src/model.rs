@@ -443,9 +443,10 @@ impl QuboModel {
     /// CSR arrays directly via [`crate::compiled::build_symmetric_csr`]
     /// *without* constructing a [`crate::compiled::CompiledQubo`], so
     /// canonicalizing a model for routing or cache lookups leaves the
-    /// [`crate::compiled::compilation_count`] ledger untouched. Callers that
-    /// already hold a compilation — the `qdm-runtime` compile-once path —
-    /// call `CompiledQubo::canonical_form` and share even the CSR build.
+    /// [`crate::compiled::compilation_count`] ledger untouched — which is
+    /// how `qdm-runtime` keys every job before, and without, compiling it.
+    /// Callers that already hold a compilation can call
+    /// `CompiledQubo::canonical_form` and share even the CSR build.
     pub fn canonical_form(&self) -> (u64, Vec<usize>) {
         let (row_offsets, neighbors, weights) =
             crate::compiled::build_symmetric_csr(self.n_vars(), || self.quadratic_iter());

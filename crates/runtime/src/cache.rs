@@ -35,15 +35,13 @@
 //! solve — the thundering-herd re-solve. The table registers one leader per
 //! in-flight key; duplicates park on the leader's `Flight` and are served
 //! its completed result through the same canonical-bit translation a cache
-//! hit uses. Keys exist at two granularities (`FlightKey`): the exact
-//! (label-order) model fingerprint, checked before compiling so an exact
-//! duplicate never pays a compilation, and the canonical [`CacheKey`],
-//! which additionally coalesces permuted-but-identical encodings.
+//! hit uses. Flights are keyed on the canonical [`CacheKey`], so
+//! permuted-but-identical encodings coalesce too, and a follower parks
+//! before it compiles anything.
 
 use crate::service::JobError;
 use crate::sync::{CondvarExt, LockExt};
 use qdm_core::pipeline::{PipelineOptions, PipelineReport};
-use qdm_qubo::compiled::CompiledQubo;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -95,8 +93,8 @@ impl CacheKey {
     }
 }
 
-/// Packs the result-affecting pipeline options into the byte cache and
-/// flight keys carry (priority is scheduling-only and excluded).
+/// Packs the result-affecting pipeline options into the byte cache keys
+/// carry (priority is scheduling-only and excluded).
 pub(crate) fn pack_options(options: &PipelineOptions) -> u8 {
     (options.presolve as u8) | ((options.decompose as u8) << 1) | ((options.repair as u8) << 2)
 }
@@ -274,64 +272,10 @@ impl ResultCache {
 // Single-flight: in-flight duplicate suppression ahead of the cache.
 // ---------------------------------------------------------------------------
 
-/// Identity of an in-flight solve in the [`FlightTable`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum FlightKey {
-    /// Pre-compilation identity: the exact (label-order-sensitive)
-    /// [`qdm_qubo::model::QuboModel::fingerprint`] plus everything else a
-    /// [`CacheKey`] carries. Checked before the job compiles, so an exact
-    /// concurrent duplicate coalesces without paying a compilation.
-    Exact {
-        /// The problem's `DmProblem::name`.
-        problem: String,
-        /// Label-order-sensitive model fingerprint (no compile needed).
-        raw_fingerprint: u64,
-        /// Packed result-affecting pipeline options ([`pack_options`]).
-        options_bits: u8,
-        /// Per-job RNG seed.
-        seed: u64,
-        /// Requested backend marker, `None` for auto routing.
-        backend: Option<String>,
-    },
-    /// Post-compilation identity: the canonical cache key, which
-    /// additionally coalesces permuted-but-identical encodings.
-    Canonical(CacheKey),
-}
-
-impl FlightKey {
-    /// Builds the pre-compilation exact key.
-    pub(crate) fn exact(
-        problem: String,
-        raw_fingerprint: u64,
-        options: &PipelineOptions,
-        seed: u64,
-        backend: Option<&str>,
-    ) -> Self {
-        Self::Exact {
-            problem,
-            raw_fingerprint,
-            options_bits: pack_options(options),
-            seed,
-            backend: backend.map(str::to_string),
-        }
-    }
-}
-
-/// What a completed leader hands its parked followers: the same
-/// [`CachedResult`] it inserted into the cache, plus its compilation and
-/// canonical permutation so exact followers (who skipped compiling) can run
-/// the standard cache-hit translation.
-#[derive(Clone)]
-pub(crate) struct FlightOutput {
-    pub(crate) cached: CachedResult,
-    pub(crate) compiled: Arc<CompiledQubo>,
-    pub(crate) perm: Arc<Vec<usize>>,
-}
-
 /// How a follower's park resolved.
 pub(crate) enum FlightResolution {
     /// The leader finished; serve its result.
-    Served(FlightOutput),
+    Served(CachedResult),
     /// The leader failed deterministically (routing error); the duplicate
     /// would have failed identically.
     Failed(JobError),
@@ -342,9 +286,9 @@ pub(crate) enum FlightResolution {
 
 enum FlightState {
     Pending,
-    /// Boxed: the output dwarfs the other variants and most flights spend
+    /// Boxed: the result dwarfs the other variants and most flights spend
     /// their lifetime `Pending`.
-    Done(Box<Result<FlightOutput, JobError>>),
+    Done(Box<Result<CachedResult, JobError>>),
     Abandoned,
 }
 
@@ -367,7 +311,7 @@ impl Flight {
                 FlightState::Pending => state = self.done.wait_unpoisoned(state),
                 FlightState::Done(outcome) => {
                     return match outcome.as_ref() {
-                        Ok(output) => FlightResolution::Served(output.clone()),
+                        Ok(cached) => FlightResolution::Served(cached.clone()),
                         Err(err) => FlightResolution::Failed(err.clone()),
                     }
                 }
@@ -392,9 +336,9 @@ pub(crate) enum FlightRole<'t> {
     Follower(Arc<Flight>),
 }
 
-/// The in-flight table: at most one leader per [`FlightKey`].
+/// The in-flight table: at most one leader per [`CacheKey`].
 pub(crate) struct FlightTable {
-    map: Mutex<HashMap<FlightKey, Arc<Flight>>>,
+    map: Mutex<HashMap<CacheKey, Arc<Flight>>>,
 }
 
 impl FlightTable {
@@ -404,58 +348,34 @@ impl FlightTable {
 
     /// Registers the caller as the leader for `key`, or returns the
     /// existing in-flight [`Flight`] to park on.
-    pub(crate) fn join_or_lead(&self, key: FlightKey) -> FlightRole<'_> {
+    pub(crate) fn join_or_lead(&self, key: CacheKey) -> FlightRole<'_> {
         let mut map = self.map.lock_unpoisoned();
         match map.entry(key.clone()) {
             Entry::Occupied(entry) => FlightRole::Follower(Arc::clone(entry.get())),
             Entry::Vacant(entry) => {
                 let flight = Arc::new(Flight::new());
                 entry.insert(Arc::clone(&flight));
-                FlightRole::Leader(FlightLease {
-                    table: self,
-                    flight,
-                    keys: vec![key],
-                    resolved: false,
-                })
+                FlightRole::Leader(FlightLease { table: self, flight, key, resolved: false })
             }
         }
     }
 }
 
 /// A leader's registration in the [`FlightTable`]. Publishing (or dropping,
-/// for the panic path) removes every registered key and wakes all parked
-/// followers exactly once.
+/// for the panic path) removes its key and wakes all parked followers
+/// exactly once.
 pub(crate) struct FlightLease<'t> {
     table: &'t FlightTable,
     flight: Arc<Flight>,
-    keys: Vec<FlightKey>,
+    key: CacheKey,
     resolved: bool,
 }
 
 impl FlightLease<'_> {
-    /// Tries to also lead `key` (the canonical key, learned after
-    /// compiling). Returns `None` on success; if a *different* leader
-    /// already holds it, returns that flight so the caller can demote to a
-    /// follower of it. Extending with a key this lease already leads is a
-    /// no-op success (the cluster-routed path registers the canonical key
-    /// *before* compiling, and the shared lead path re-derives it after).
-    pub(crate) fn extend(&mut self, key: FlightKey) -> Option<Arc<Flight>> {
-        let mut map = self.table.map.lock_unpoisoned();
-        match map.entry(key.clone()) {
-            Entry::Occupied(entry) if Arc::ptr_eq(entry.get(), &self.flight) => None,
-            Entry::Occupied(entry) => Some(Arc::clone(entry.get())),
-            Entry::Vacant(entry) => {
-                entry.insert(Arc::clone(&self.flight));
-                self.keys.push(key);
-                None
-            }
-        }
-    }
-
     /// Publishes the flight's outcome to every parked follower and
-    /// deregisters its keys. Call *after* inserting a successful result into
+    /// deregisters its key. Call *after* inserting a successful result into
     /// the cache, so a duplicate arriving post-deregistration hits the cache.
-    pub(crate) fn publish(mut self, outcome: Result<FlightOutput, JobError>) {
+    pub(crate) fn publish(mut self, outcome: Result<CachedResult, JobError>) {
         self.resolve(FlightState::Done(Box::new(outcome)));
     }
 
@@ -464,12 +384,7 @@ impl FlightLease<'_> {
             return;
         }
         self.resolved = true;
-        {
-            let mut map = self.table.map.lock_unpoisoned();
-            for key in &self.keys {
-                map.remove(key);
-            }
-        }
+        self.table.map.lock_unpoisoned().remove(&self.key);
         self.flight.publish(state);
     }
 }
@@ -641,91 +556,36 @@ mod tests {
     #[test]
     fn flight_table_has_one_leader_per_key_and_reopens_after_publish() {
         let table = FlightTable::new();
-        let fk = || FlightKey::Canonical(key(7));
-        let lease = match table.join_or_lead(fk()) {
+        let lease = match table.join_or_lead(key(7)) {
             FlightRole::Leader(lease) => lease,
             FlightRole::Follower(_) => panic!("first arrival must lead"),
         };
-        let follower = match table.join_or_lead(fk()) {
+        let follower = match table.join_or_lead(key(7)) {
             FlightRole::Follower(flight) => flight,
             FlightRole::Leader(_) => panic!("second arrival must coalesce"),
         };
-        let output = FlightOutput {
-            cached: entry("led", "e"),
-            compiled: Arc::new(qdm_qubo::model::QuboModel::new(2).compile()),
-            perm: Arc::new(vec![0, 1]),
-        };
-        lease.publish(Ok(output));
+        lease.publish(Ok(entry("led", "e")));
         match follower.wait() {
-            FlightResolution::Served(out) => assert_eq!(out.cached.report.problem, "led"),
+            FlightResolution::Served(cached) => assert_eq!(cached.report.problem, "led"),
             _ => panic!("published flight must serve its followers"),
         }
         // The key is deregistered: the next arrival leads a fresh flight.
-        assert!(matches!(table.join_or_lead(fk()), FlightRole::Leader(_)));
+        assert!(matches!(table.join_or_lead(key(7)), FlightRole::Leader(_)));
     }
 
     #[test]
     fn dropping_a_lease_without_publishing_abandons_followers() {
         let table = FlightTable::new();
-        let fk = || FlightKey::Canonical(key(9));
-        let lease = match table.join_or_lead(fk()) {
+        let lease = match table.join_or_lead(key(9)) {
             FlightRole::Leader(lease) => lease,
             FlightRole::Follower(_) => panic!("first arrival must lead"),
         };
-        let follower = match table.join_or_lead(fk()) {
+        let follower = match table.join_or_lead(key(9)) {
             FlightRole::Follower(flight) => flight,
             FlightRole::Leader(_) => panic!("second arrival must coalesce"),
         };
         drop(lease); // the panic path: no publish
         assert!(matches!(follower.wait(), FlightResolution::Abandoned));
-        assert!(matches!(table.join_or_lead(fk()), FlightRole::Leader(_)));
-    }
-
-    #[test]
-    fn extend_with_an_already_held_key_is_a_noop_success() {
-        let table = FlightTable::new();
-        let canonical = || FlightKey::Canonical(key(11));
-        let mut lease = match table.join_or_lead(canonical()) {
-            FlightRole::Leader(lease) => lease,
-            FlightRole::Follower(_) => panic!("first arrival must lead"),
-        };
-        assert!(lease.extend(canonical()).is_none(), "own key must not demote the leader");
-        drop(lease);
-        assert!(matches!(table.join_or_lead(canonical()), FlightRole::Leader(_)));
-    }
-
-    #[test]
-    fn extend_registers_a_second_key_or_demotes_on_collision() {
-        let table = FlightTable::new();
-        let exact =
-            || FlightKey::exact("p".into(), 1, &PipelineOptions::default(), 7, Some("tabu"));
-        let canonical = || FlightKey::Canonical(key(5));
-        let mut lease_a = match table.join_or_lead(exact()) {
-            FlightRole::Leader(lease) => lease,
-            FlightRole::Follower(_) => panic!("must lead"),
-        };
-        assert!(lease_a.extend(canonical()).is_none(), "free canonical key extends the lease");
-        // A different leader holding the canonical key demotes the caller.
-        let mut lease_b = match table.join_or_lead(FlightKey::exact(
-            "p".into(),
-            2,
-            &PipelineOptions::default(),
-            7,
-            None,
-        )) {
-            FlightRole::Leader(lease) => lease,
-            FlightRole::Follower(_) => panic!("distinct exact key must lead"),
-        };
-        assert!(lease_b.extend(canonical()).is_some(), "occupied canonical key demotes");
-        drop(lease_b);
-        // Publishing lease A clears both of its keys.
-        let output = FlightOutput {
-            cached: entry("a", "e"),
-            compiled: Arc::new(qdm_qubo::model::QuboModel::new(2).compile()),
-            perm: Arc::new(vec![0, 1]),
-        };
-        lease_a.publish(Ok(output));
-        assert!(matches!(table.join_or_lead(exact()), FlightRole::Leader(_)));
-        assert!(matches!(table.join_or_lead(canonical()), FlightRole::Leader(_)));
+        assert!(matches!(table.join_or_lead(key(9)), FlightRole::Leader(_)));
     }
 }

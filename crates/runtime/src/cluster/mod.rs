@@ -12,7 +12,7 @@
 //!   of a hot QUBO — and relabeled ones the canonical labeling recognizes
 //!   — always land on the shard that already has it cached and
 //!   single-flight there, so a burst of such duplicates compiles **once
-//!   cluster-wide**. The flight leader reuses the routed canonical form.
+//!   cluster-wide**. The worker runs the job from this route as built.
 //! - **Admission control** — each tenant draws from a token bucket
 //!   ([`AdmissionConfig`]) denominated in **predicted seconds** of
 //!   backend time (the [`crate::cost`] model's quote for the routed
@@ -530,10 +530,8 @@ impl ClusterSession<'_> {
     /// Encodes the spec once and picks its shard by canonical fingerprint,
     /// skipping past shards the health probe reports dead.
     fn route(&self, spec: &JobSpec) -> (usize, RouteInfo) {
-        let qubo = Arc::new(spec.problem.to_qubo());
-        let (canonical_fp, perm) = qubo.canonical_form();
-        let shard = self.cluster.route_shard(canonical_fp);
-        (shard, RouteInfo { qubo, canonical_fp, perm: Arc::new(perm) })
+        let route = RouteInfo::encode(&*spec.problem);
+        (self.cluster.route_shard(route.canonical_fp), route)
     }
 
     /// Admission checks for an already-reserved slot: token bucket first

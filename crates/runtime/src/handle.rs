@@ -13,7 +13,7 @@ use crate::metrics::Metrics;
 use crate::service::{JobError, JobOutcome, Shared};
 use crate::submit::SessionCore;
 use crate::sync::{CondvarExt, LockExt};
-use crate::trace::{JobTrace, Span, Stage, StageStats, TraceOutcome};
+use crate::trace::TraceOutcome;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// One finished job as streamed by
@@ -228,26 +228,7 @@ impl JobHandle {
             // A queue-removed job never reaches a worker, so its trace is
             // recorded here: just the queue-wait span, outcome `cancelled`.
             if let Some(sink) = self.shared.sink.as_ref() {
-                sink.record(JobTrace {
-                    job_id: job.id,
-                    session: job.session.id(),
-                    problem: job.spec.problem.name(),
-                    lane: job.spec.options.priority,
-                    fingerprint: 0,
-                    seed: job.spec.seed,
-                    outcome: TraceOutcome::Cancelled,
-                    backend: None,
-                    shard: self.shared.shard,
-                    spans: vec![Span {
-                        stage: Stage::Queued,
-                        backend: None,
-                        winner: false,
-                        start_ns: job.queued_ns,
-                        end_ns: self.shared.now_ns(),
-                        stats: StageStats::default(),
-                        predicted_seconds: None,
-                    }],
-                });
+                sink.record(job.queued_trace(&self.shared, TraceOutcome::Cancelled));
             }
             let delivered = job.slot.resolve(Err(JobError::Cancelled), &self.shared.metrics);
             // A queue-removed job resolves here, never on a worker, so its

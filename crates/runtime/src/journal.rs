@@ -123,9 +123,7 @@ pub enum JournalEvent {
     Completed {
         /// The finished job.
         job_id: u64,
-        /// Canonical fingerprint of the solved model (0 when the job was
-        /// served by coalescing onto an in-flight leader and never
-        /// computed its own fingerprint).
+        /// Canonical fingerprint of the job's model.
         fingerprint: u64,
     },
     /// A job was cancelled through its handle.

@@ -19,8 +19,8 @@
 //!   estimation;
 //! - [`service`] — the worker pool and fair-scheduled job queue
 //!   ([`service::SolverService`]): each cache-miss job compiles its QUBO
-//!   **exactly once** into a shared `Arc<CompiledQubo>` — fingerprinting,
-//!   presolve, and every dispatched backend run on that one compilation
+//!   **exactly once** into a shared `Arc<CompiledQubo>` — presolve and
+//!   every dispatched backend run on that one compilation
 //!   via [`qdm_core::pipeline::run_pipeline_compiled`] — and each job runs
 //!   under its own seeded RNG, so results are reproducible regardless of
 //!   scheduling. [`service::BackendChoice::Race`] races the portfolio's

@@ -199,8 +199,10 @@ impl Metrics {
 
     /// Records compile time the compile-once pipeline avoided: a job whose
     /// single compilation (taking `compile_seconds`) served `consumers`
-    /// stages/backends would have compiled `consumers` times under the old
-    /// per-stage scheme, so `(consumers - 1) × compile_seconds` was saved.
+    /// dispatched backends would have compiled once per backend, so
+    /// `(consumers - 1) × compile_seconds` was saved — nothing for a
+    /// single-backend job. (The cache key never needs a compilation: it is
+    /// the uncompiled model's canonical fingerprint.)
     pub fn on_compile_shared(&self, compile_seconds: f64, consumers: u64) {
         let saved = compile_seconds * consumers.saturating_sub(1) as f64;
         self.compile_saved_nanos.fetch_add((saved * 1e9).max(0.0) as u64, Ordering::Relaxed);
@@ -434,9 +436,9 @@ pub struct RuntimeReport {
     /// Total caller-observed enqueue→result time across delivered jobs
     /// (cache hits and coalesced followers included).
     pub served_seconds_total: f64,
-    /// Compile time avoided by sharing one compilation per job across
-    /// fingerprinting and every dispatched backend (races amortize it k
-    /// ways). See [`Metrics::on_compile_shared`].
+    /// Compile time avoided by sharing one compilation per job across every
+    /// dispatched backend: a race of k saves k − 1 compiles, a
+    /// single-backend job saves none. See [`Metrics::on_compile_shared`].
     pub compile_seconds_saved: f64,
     /// Portfolio-race jobs completed ([`crate::service::BackendChoice::Race`]).
     pub race_jobs: u64,

@@ -31,8 +31,7 @@
 
 use crate::breaker::{BreakerConfig, CircuitBreakers};
 use crate::cache::{
-    CacheKey, CachedResult, FlightKey, FlightOutput, FlightResolution, FlightRole, FlightTable,
-    ResultCache,
+    CacheKey, CachedResult, FlightResolution, FlightRole, FlightTable, ResultCache,
 };
 use crate::cluster::{Clock, MonotonicClock};
 use crate::cost::{analytic_seconds, CostShape, MIN_PREDICTED_SECONDS};
@@ -257,19 +256,35 @@ impl std::error::Error for JobError {}
 /// Result of one job: completed or failed routing.
 pub type JobOutcome = Result<JobResult, JobError>;
 
-/// Routing work the cluster front-end precomputed at submit time —
-/// compile-free: the QUBO is built once, canonically fingerprinted via
+/// A job's encoding and canonical identity — the only form in which a
+/// worker sees a job. Built exactly once per job by [`RouteInfo::encode`],
+/// compile-free: the QUBO is built, canonically fingerprinted via
 /// [`qdm_qubo::model::QuboModel::canonical_form`], and carried to whichever
 /// shard (and worker) ends up running the job, so migration never changes
 /// what executes.
+///
+/// It is built wherever the model is encoded anyway: the cluster
+/// front-end builds it to pick the shard, a journaled submission builds it
+/// to write the `Submitted` record, and every other job (unjournaled direct
+/// submissions, recovery replays) builds it on the worker at its first
+/// attempt, inside the panic guard, so a panicking `to_qubo` fails the job
+/// and never the caller.
 pub(crate) struct RouteInfo {
-    /// The encoded model, built once at routing time; the worker reuses it
-    /// instead of calling `to_qubo` again.
+    /// The encoded model; nothing calls `to_qubo` for this job again.
     pub(crate) qubo: Arc<QuboModel>,
     /// Canonical (labeling-independent) fingerprint of `qubo`.
     pub(crate) canonical_fp: u64,
     /// This labeling's canonical permutation (`perm[original] = canonical`).
     pub(crate) perm: Arc<Vec<usize>>,
+}
+
+impl RouteInfo {
+    /// Encodes `problem` and canonicalizes the model.
+    pub(crate) fn encode(problem: &dyn DmProblem) -> Self {
+        let qubo = problem.to_qubo();
+        let (canonical_fp, perm) = qubo.canonical_form();
+        Self { qubo: Arc::new(qubo), canonical_fp, perm: Arc::new(perm) }
+    }
 }
 
 /// A job sitting in the service queue, waiting for a worker.
@@ -285,7 +300,9 @@ pub(crate) struct QueuedJob {
     pub(crate) spec: JobSpec,
     pub(crate) slot: Arc<CompletionSlot>,
     pub(crate) session: Arc<SessionCore>,
-    /// Cluster-precomputed route; `None` for directly submitted jobs.
+    /// The job's route. Cluster and journaled submissions queue with it
+    /// built; every other job gets it from its worker's first attempt, and
+    /// it stays here so retries, parked backoffs, and migrations reuse it.
     pub(crate) route: Option<RouteInfo>,
     /// Mid-retry state carried across a backoff park (see [`RetryState`]);
     /// `None` for a job that has not been parked.
@@ -294,6 +311,25 @@ pub(crate) struct QueuedJob {
     /// their journaled id, skip re-journaling their own `Submitted` record,
     /// and open their trace with a [`Stage::Recover`] span.
     pub(crate) recovered: bool,
+}
+
+impl QueuedJob {
+    /// The job's trace as of leaving the queue: its identity and the
+    /// queue-wait span, ending now.
+    pub(crate) fn queued_trace(&self, shared: &Shared, outcome: TraceOutcome) -> JobTrace {
+        JobTrace {
+            job_id: self.id,
+            session: self.session.id(),
+            problem: self.spec.problem.name(),
+            lane: self.spec.options.priority,
+            fingerprint: 0,
+            seed: self.spec.seed,
+            outcome,
+            backend: None,
+            shard: shared.shard,
+            spans: vec![Span::new(Stage::Queued, self.queued_ns, shared.now_ns())],
+        }
+    }
 }
 
 /// Everything a parked retry needs to resume exactly where it left off.
@@ -888,50 +924,16 @@ fn run_job(shared: &Shared, mut job: QueuedJob) {
         Some(state) => {
             let RetryState { attempt, ctx, mut trace, backoff_start_ns } = *state;
             if let Some(t) = trace.as_mut() {
-                t.spans.push(Span {
-                    stage: Stage::Retry,
-                    backend: None,
-                    winner: false,
-                    start_ns: backoff_start_ns,
-                    end_ns: shared.now_ns(),
-                    stats: StageStats::default(),
-                    predicted_seconds: None,
-                });
+                t.spans.push(Span::new(Stage::Retry, backoff_start_ns, shared.now_ns()));
             }
             (trace, ctx, attempt)
         }
         None => {
-            let mut trace = shared.sink.as_ref().map(|_| JobTrace {
-                job_id: job.id,
-                session: job.session.id(),
-                problem: job.spec.problem.name(),
-                lane: job.spec.options.priority,
-                fingerprint: 0,
-                seed: job.spec.seed,
-                outcome: TraceOutcome::Failed,
-                backend: None,
-                shard: shared.shard,
-                spans: vec![Span {
-                    stage: Stage::Queued,
-                    backend: None,
-                    winner: false,
-                    start_ns: job.queued_ns,
-                    end_ns: shared.now_ns(),
-                    stats: StageStats::default(),
-                    predicted_seconds: None,
-                }],
-            });
+            let mut trace =
+                shared.sink.as_ref().map(|_| job.queued_trace(shared, TraceOutcome::Failed));
             if job.recovered {
                 if let Some(t) = trace.as_mut() {
-                    t.spans.push(Span {
-                        stage: Stage::Recover,
-                        backend: None,
-                        winner: false,
-                        start_ns: job.queued_ns,
-                        end_ns: job.queued_ns,
-                        stats: StageStats::default(),
-                        predicted_seconds: None,
-                    });
+                    t.spans.push(Span::new(Stage::Recover, job.queued_ns, job.queued_ns));
                 }
             }
             let ctx = AttemptCtx {
@@ -961,7 +963,10 @@ fn run_job(shared: &Shared, mut job: QueuedJob) {
         ctx.attempted.clear();
         ctx.accounted = false;
         let attempt_outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            process(shared, &job.spec, job.route.as_ref(), &mut trace, &mut ctx)
+            // A job queued without a route encodes here, inside the guard:
+            // a panicking `to_qubo` fails the job, not the worker.
+            let route = job.route.get_or_insert_with(|| RouteInfo::encode(&*job.spec.problem));
+            process(shared, &job.spec, route, &mut trace, &mut ctx)
         }))
         .unwrap_or_else(|payload| Err(JobError::Panicked(panic_message(payload.as_ref()))));
         let err = match attempt_outcome {
@@ -997,15 +1002,7 @@ fn run_job(shared: &Shared, mut job: QueuedJob) {
             if backoff.is_zero() {
                 // Instant retry stays in-loop on this worker.
                 if let Some(t) = trace.as_mut() {
-                    t.spans.push(Span {
-                        stage: Stage::Retry,
-                        backend: None,
-                        winner: false,
-                        start_ns: backoff_start_ns,
-                        end_ns: shared.now_ns(),
-                        stats: StageStats::default(),
-                        predicted_seconds: None,
-                    });
+                    t.spans.push(Span::new(Stage::Retry, backoff_start_ns, shared.now_ns()));
                 }
                 continue;
             }
@@ -1085,12 +1082,7 @@ fn run_job(shared: &Shared, mut job: QueuedJob) {
     if let Some(journal) = &shared.journal {
         match &delivered {
             Ok(_) => {
-                let fingerprint = ctx
-                    .canonical
-                    .as_ref()
-                    .map(|(fp, _)| *fp)
-                    .or_else(|| job.route.as_ref().map(|r| r.canonical_fp))
-                    .unwrap_or(0);
+                let fingerprint = job.route.as_ref().map_or(0, |route| route.canonical_fp);
                 journal.append(JournalEvent::Completed { job_id: job.id, fingerprint });
             }
             Err(JobError::Cancelled) => {
@@ -1109,8 +1101,7 @@ fn run_job(shared: &Shared, mut job: QueuedJob) {
 #[derive(Default)]
 struct AttemptCtx {
     /// Backends that failed earlier attempts of this job; routing for the
-    /// current attempt excludes them (never to zero — see
-    /// [`PortfolioScheduler::rank_filtered`]).
+    /// current attempt excludes them.
     excluded: Vec<usize>,
     /// Backends the current attempt dispatched, recorded right after
     /// routing so a panic mid-solve can still be attributed.
@@ -1121,16 +1112,10 @@ struct AttemptCtx {
     /// Absolute deadline (nanoseconds since the service epoch), from
     /// [`JobSpec::deadline`] and the job's enqueue time.
     deadline_at_ns: Option<u64>,
-    /// The encoded model, kept across attempts so a retry never re-runs the
-    /// user's `to_qubo` (routed jobs carry theirs in [`RouteInfo`] instead).
-    qubo: Option<Arc<QuboModel>>,
     /// The shared compilation, kept across attempts: a retry after a
     /// mid-solve failure reuses it instead of recompiling, which is where
     /// most of the per-retry overhead used to go.
     compiled: Option<Arc<CompiledQubo>>,
-    /// The canonical fingerprint and permutation derived from `compiled`,
-    /// cached with it; also stamps the journal's `Completed` record.
-    canonical: Option<(u64, Arc<Vec<usize>>)>,
 }
 
 /// Extracts a human-readable message from a panic payload: the common
@@ -1237,76 +1222,58 @@ fn requested_backend(shared: &Shared, spec: &JobSpec, n_vars: usize) -> Option<S
     }
 }
 
+/// Runs one attempt of a job from its route. A cache hit on the canonical
+/// key is served straight away; otherwise the job takes the canonical
+/// single-flight, where permuted-but-identical encodings coalesce too. A
+/// hit or a follower translates the canonical assignment through *this*
+/// job's own permutation and scores bits with its own (uncompiled) model
+/// — [`qdm_qubo::model::QuboModel::energy`] is bit-identical to the
+/// compiled evaluation — so serving never costs a compilation. Only a
+/// flight leader compiles, inside [`lead`].
 fn process(
     shared: &Shared,
     spec: &JobSpec,
-    route: Option<&RouteInfo>,
+    route: &RouteInfo,
     trace: &mut Option<JobTrace>,
     ctx: &mut AttemptCtx,
 ) -> JobOutcome {
-    // A cluster-routed job arrives with its QUBO already built and
-    // canonically fingerprinted; it skips straight to the canonical path.
-    if let Some(route) = route {
-        return process_routed(shared, spec, route, trace, ctx);
-    }
-    // The encoding is cached on the attempt context: a retry re-enters
-    // here, and the user's `to_qubo` is deterministic, so re-running it
-    // would buy nothing and cost the whole encode.
-    let qubo = match &ctx.qubo {
-        Some(qubo) => Arc::clone(qubo),
-        None => {
-            let qubo = Arc::new(spec.problem.to_qubo());
-            ctx.qubo = Some(Arc::clone(&qubo));
-            qubo
-        }
-    };
-    let n_vars = qubo.n_vars();
+    let n_vars = route.qubo.n_vars();
     let requested = requested_backend(shared, spec, n_vars);
-    let requested = requested.as_deref();
-    // Single-flight, level 1: the exact (label-order) fingerprint, checked
-    // *before* compiling. Two concurrent submissions of the same spec both
-    // reach this point cache-cold; without it both would compile and solve
-    // — the thundering-herd re-solve the cache alone cannot prevent,
-    // because its entry only appears after the first solve finishes.
-    let exact_key = FlightKey::exact(
+    if let Some(t) = trace.as_mut() {
+        t.fingerprint = route.canonical_fp;
+    }
+    let key = CacheKey::new(
         spec.problem.name(),
-        qubo.fingerprint(),
+        route.canonical_fp,
         &spec.options,
         spec.seed,
-        requested,
+        requested.as_deref(),
     );
+    let cached = || shared.cache.get(&key).filter(|cached| cached.fits(n_vars));
+    if let Some(cached) = cached() {
+        return Ok(serve_hit(shared, spec, route, cached, trace));
+    }
     loop {
-        match shared.inflight.join_or_lead(exact_key.clone()) {
+        match shared.inflight.join_or_lead(key.clone()) {
             FlightRole::Leader(lease) => {
-                return lead(shared, spec, &qubo, n_vars, requested, lease, trace, ctx)
+                // A leader inserts into the cache before it deregisters its
+                // flight, so a flight that closed since the probe above
+                // left its answer here.
+                if let Some(cached) = cached() {
+                    let result = serve_hit(shared, spec, route, cached.clone(), trace);
+                    lease.publish(Ok(cached));
+                    return Ok(result);
+                }
+                return lead(shared, spec, route, key, lease, trace, ctx);
             }
             FlightRole::Follower(flight) => {
                 shared.metrics.on_coalesced();
                 let park_start_ns = if trace.is_some() { shared.now_ns() } else { 0 };
                 match flight.wait() {
-                    FlightResolution::Served(out) => {
-                        // An exact duplicate shares the leader's labeling,
-                        // so the leader's compilation and canonical
-                        // permutation translate its bits verbatim — this
-                        // job never compiled.
+                    FlightResolution::Served(cached) => {
                         shared.metrics.on_coalesced_served();
-                        let result = serve_coalesced(
-                            spec,
-                            |bits| out.compiled.energy(bits),
-                            &out.perm,
-                            out.cached.clone(),
-                        );
-                        if let Some(t) = trace.as_mut() {
-                            t.spans.push(Span {
-                                stage: Stage::Serve,
-                                backend: Some(result.backend.clone()),
-                                winner: false,
-                                start_ns: park_start_ns,
-                                end_ns: shared.now_ns(),
-                                stats: StageStats::default(),
-                                predicted_seconds: None,
-                            });
-                        }
+                        let result = serve(spec, route, cached, true);
+                        push_serve_span(shared, trace, park_start_ns, &result);
                         return Ok(result);
                     }
                     FlightResolution::Failed(err) => {
@@ -1328,122 +1295,55 @@ fn process(
     }
 }
 
-/// Runs a cluster-routed job. The cluster already built the QUBO and
-/// computed its canonical fingerprint (compile-free) to pick the shard, so
-/// the worker goes straight to the canonical cache key and the canonical
-/// single-flight — duplicates of a hot fingerprint all hash to this shard,
-/// land here, and coalesce regardless of variable labeling. A follower or
-/// cache hit translates the canonical assignment through *this* job's own
-/// permutation and scores bits with its own (uncompiled) model —
-/// [`qdm_qubo::model::QuboModel::energy`] is bit-identical to the compiled
-/// evaluation — so serving never costs a compilation. Only a flight leader
-/// compiles, inside [`lead`], and it never canonicalizes: its attempt
-/// context is seeded from the route. Its `extend` with the canonical key
-/// this lease already holds is an idempotent no-op.
-fn process_routed(
+/// Serves a cache hit for `route` and records it.
+fn serve_hit(
     shared: &Shared,
     spec: &JobSpec,
     route: &RouteInfo,
+    cached: CachedResult,
     trace: &mut Option<JobTrace>,
-    ctx: &mut AttemptCtx,
-) -> JobOutcome {
-    let qubo = &route.qubo;
-    let n_vars = qubo.n_vars();
-    let requested = requested_backend(shared, spec, n_vars);
-    let requested = requested.as_deref();
+) -> JobResult {
+    shared.metrics.on_cache_hit();
+    let serve_start_ns = if trace.is_some() { shared.now_ns() } else { 0 };
+    let result = serve(spec, route, cached, false);
+    push_serve_span(shared, trace, serve_start_ns, &result);
+    result
+}
+
+/// Closes a traced job's `Serve` span, attributed to the serving backend.
+fn push_serve_span(
+    shared: &Shared,
+    trace: &mut Option<JobTrace>,
+    start_ns: u64,
+    result: &JobResult,
+) {
     if let Some(t) = trace.as_mut() {
-        t.fingerprint = route.canonical_fp;
-    }
-    let key =
-        CacheKey::new(spec.problem.name(), route.canonical_fp, &spec.options, spec.seed, requested);
-    if let Some(cached) = shared.cache.get(&key).filter(|cached| cached.fits(n_vars)) {
-        shared.metrics.on_cache_hit();
-        let serve_start_ns = if trace.is_some() { shared.now_ns() } else { 0 };
-        let result = serve_cached(spec, |bits| qubo.energy(bits), &route.perm, cached);
-        if let Some(t) = trace.as_mut() {
-            t.spans.push(Span {
-                stage: Stage::Serve,
-                backend: Some(result.backend.clone()),
-                winner: false,
-                start_ns: serve_start_ns,
-                end_ns: shared.now_ns(),
-                stats: StageStats::default(),
-                predicted_seconds: None,
-            });
-        }
-        return Ok(result);
-    }
-    loop {
-        match shared.inflight.join_or_lead(FlightKey::Canonical(key.clone())) {
-            FlightRole::Leader(lease) => {
-                // The route already canonicalized this labeling (the same
-                // algorithm on the same coefficients as the compiled form),
-                // so the leader's compile span covers the compile alone.
-                ctx.canonical.get_or_insert_with(|| (route.canonical_fp, Arc::clone(&route.perm)));
-                return lead(shared, spec, qubo, n_vars, requested, lease, trace, ctx);
-            }
-            FlightRole::Follower(flight) => {
-                shared.metrics.on_coalesced();
-                let park_start_ns = if trace.is_some() { shared.now_ns() } else { 0 };
-                match flight.wait() {
-                    FlightResolution::Served(out) => {
-                        shared.metrics.on_coalesced_served();
-                        let result = serve_coalesced(
-                            spec,
-                            |bits| qubo.energy(bits),
-                            &route.perm,
-                            out.cached.clone(),
-                        );
-                        if let Some(t) = trace.as_mut() {
-                            t.spans.push(Span {
-                                stage: Stage::Serve,
-                                backend: Some(result.backend.clone()),
-                                winner: false,
-                                start_ns: park_start_ns,
-                                end_ns: shared.now_ns(),
-                                stats: StageStats::default(),
-                                predicted_seconds: None,
-                            });
-                        }
-                        return Ok(result);
-                    }
-                    FlightResolution::Failed(err) => {
-                        shared.metrics.on_failed();
-                        return Err(err);
-                    }
-                    FlightResolution::Abandoned => {
-                        shared.metrics.on_coalesce_abandoned();
-                        continue;
-                    }
-                }
-            }
-        }
+        let span = Span::new(Stage::Serve, start_ns, shared.now_ns());
+        t.spans.push(span.with_backend(result.backend.clone()));
     }
 }
 
-/// Runs a job that leads its single-flight: compile once, check the cache,
-/// coalesce onto a permuted-identical in-flight duplicate if one exists,
-/// else solve — and publish whatever happened to any parked followers.
-#[allow(clippy::too_many_arguments)]
+/// Runs a job that leads its single-flight: compile once, then solve — and
+/// publish whatever happened to any parked followers.
 fn lead(
     shared: &Shared,
     spec: &JobSpec,
-    qubo: &QuboModel,
-    n_vars: usize,
-    requested: Option<&str>,
-    mut lease: crate::cache::FlightLease<'_>,
+    route: &RouteInfo,
+    key: CacheKey,
+    lease: crate::cache::FlightLease<'_>,
     trace: &mut Option<JobTrace>,
     ctx: &mut AttemptCtx,
 ) -> JobOutcome {
     let tracing = trace.is_some();
+    let qubo = &*route.qubo;
+    let n_vars = qubo.n_vars();
     // Injected compile/presolve/serve faults return through `?`, dropping
     // the lease unpublished: followers see `Abandoned` and retry from the
     // top rather than being served an occurrence-dependent error as if it
     // were deterministic.
     apply_fault(shared, FaultSite::Compile, None)?;
-    // THE compile of this job: every downstream consumer — canonical
-    // fingerprinting, presolve, each dispatched backend (all k of a race),
-    // and any exact-duplicate followers — shares this one
+    // THE compile of this job: every downstream consumer — presolve and
+    // each dispatched backend (all k of a race) — shares this one
     // `Arc<CompiledQubo>`. No other stage on the service path compiles.
     let compile_start_ns = if tracing { shared.now_ns() } else { 0 };
     // A retry after a mid-solve failure reuses the attempt context's
@@ -1460,92 +1360,8 @@ fn lead(
             (compiled, Some(seconds))
         }
     };
-    let (canonical_fp, perm) = match &ctx.canonical {
-        Some((fp, perm)) => (*fp, Arc::clone(perm)),
-        None => {
-            let (fp, perm) = compiled.canonical_form();
-            let perm = Arc::new(perm);
-            ctx.canonical = Some((fp, Arc::clone(&perm)));
-            (fp, perm)
-        }
-    };
     if let Some(t) = trace.as_mut() {
-        t.fingerprint = canonical_fp;
-        t.spans.push(Span {
-            stage: Stage::Compile,
-            backend: None,
-            winner: false,
-            start_ns: compile_start_ns,
-            end_ns: shared.now_ns(),
-            stats: StageStats::default(),
-            predicted_seconds: None,
-        });
-    }
-    let key = CacheKey::new(spec.problem.name(), canonical_fp, &spec.options, spec.seed, requested);
-    if let Some(cached) = shared.cache.get(&key).filter(|cached| cached.fits(n_vars)) {
-        shared.metrics.on_cache_hit();
-        let serve_start_ns = if tracing { shared.now_ns() } else { 0 };
-        let result = serve_cached(spec, |bits| compiled.energy(bits), &perm, cached.clone());
-        if let Some(t) = trace.as_mut() {
-            t.spans.push(Span {
-                stage: Stage::Serve,
-                backend: Some(result.backend.clone()),
-                winner: false,
-                start_ns: serve_start_ns,
-                end_ns: shared.now_ns(),
-                stats: StageStats::default(),
-                predicted_seconds: None,
-            });
-        }
-        lease.publish(Ok(FlightOutput { cached, compiled, perm }));
-        return Ok(result);
-    }
-
-    // Single-flight, level 2: the canonical key. A permuted-but-identical
-    // encoding may already be solving under a different exact key; coalesce
-    // onto it and translate its canonical assignment through *this* job's
-    // own permutation — the same machinery a permuted cache hit uses.
-    // An `extend` returning `None` means this job now leads the canonical
-    // flight too and proceeds to solve; `Abandoned` retries the extend (the
-    // canonical leader panicked and its key was removed).
-    while let Some(flight) = lease.extend(FlightKey::Canonical(key.clone())) {
-        shared.metrics.on_coalesced();
-        let park_start_ns = if tracing { shared.now_ns() } else { 0 };
-        match flight.wait() {
-            FlightResolution::Served(out) => {
-                shared.metrics.on_coalesced_served();
-                let result =
-                    serve_coalesced(spec, |bits| compiled.energy(bits), &perm, out.cached.clone());
-                if let Some(t) = trace.as_mut() {
-                    t.spans.push(Span {
-                        stage: Stage::Serve,
-                        backend: Some(result.backend.clone()),
-                        winner: false,
-                        start_ns: park_start_ns,
-                        end_ns: shared.now_ns(),
-                        stats: StageStats::default(),
-                        predicted_seconds: None,
-                    });
-                }
-                // Publish through to this flight's own exact followers with
-                // *this* labeling's compilation and permutation, which is
-                // the one that translates their bits correctly.
-                lease.publish(Ok(FlightOutput { cached: out.cached, compiled, perm }));
-                return Ok(result);
-            }
-            FlightResolution::Failed(err) => {
-                shared.metrics.on_failed();
-                lease.publish(Err(err.clone()));
-                return Err(err);
-            }
-            FlightResolution::Abandoned => {
-                // The canonical leader panicked; its key is gone, so the
-                // extend retries (and may succeed, making this job the
-                // solver). The park suppressed nothing.
-                shared.metrics.on_coalesce_abandoned();
-                continue;
-            }
-        }
+        t.spans.push(Span::new(Stage::Compile, compile_start_ns, shared.now_ns()));
     }
 
     // Degraded routing: skip backends that failed earlier attempts of this
@@ -1641,10 +1457,10 @@ fn lead(
             shared.portfolio.cost_model().predict_seconds(idx, analytic)
         })
         .collect();
-    // One compile served the fingerprint stage plus every participant;
-    // under the old compile-per-stage scheme each would have compiled.
+    // One compile served every participant; under the old
+    // compile-per-stage scheme each would have compiled.
     if let Some(compile_seconds) = compile_seconds {
-        shared.metrics.on_compile_shared(compile_seconds, 1 + participants.len() as u64);
+        shared.metrics.on_compile_shared(compile_seconds, participants.len() as u64);
     }
 
     let naive_lower_bound = compiled.naive_lower_bound();
@@ -1659,15 +1475,8 @@ fn lead(
         let presolve_start_ns = shared.now_ns();
         let prepared = prepare_pipeline(qubo, &compiled, &opts);
         if let Some(t) = trace.as_mut() {
-            t.spans.push(Span {
-                stage: Stage::Presolve,
-                backend: None,
-                winner: false,
-                start_ns: presolve_start_ns,
-                end_ns: shared.now_ns(),
-                stats: profile.snapshot(),
-                predicted_seconds: None,
-            });
+            let span = Span::new(Stage::Presolve, presolve_start_ns, shared.now_ns());
+            t.spans.push(span.with_stats(profile.snapshot()));
         }
         prepared
     } else {
@@ -1784,15 +1593,11 @@ fn lead(
             // One solve child span per race participant, winner marked, so
             // the exported timeline shows the whole field — including the
             // losers' wall time a latency metric alone would hide.
-            t.spans.push(Span {
-                stage: Stage::Solve,
-                backend: Some(shared.registry.get(idx).spec.name.clone()),
-                winner: won,
-                start_ns: run.start_ns,
-                end_ns: run.end_ns,
-                stats: run.stats,
-                predicted_seconds: Some(predicted[slot]),
-            });
+            let backend = shared.registry.get(idx).spec.name.clone();
+            let span = Span::new(Stage::Solve, run.start_ns, run.end_ns);
+            t.spans.push(
+                span.with_backend(backend).with_stats(run.stats).predicted(predicted[slot], won),
+            );
         }
     }
     ctx.accounted = true;
@@ -1819,14 +1624,14 @@ fn lead(
 
     let mut canonical_bits = vec![false; report.bits.len()];
     for (i, &bit) in report.bits.iter().enumerate() {
-        canonical_bits[perm[i]] = bit;
+        canonical_bits[route.perm[i]] = bit;
     }
     let cached =
         CachedResult { report: report.clone(), canonical_bits, backend: backend_name.clone() };
     // Insert into the cache *before* publishing/deregistering the flight:
     // a duplicate arriving after the flight closes must find the entry.
     shared.cache.insert(key, cached.clone());
-    lease.publish(Ok(FlightOutput { cached, compiled, perm }));
+    lease.publish(Ok(cached));
     Ok(JobResult {
         job_id: 0, // stamped with the queue id by the worker loop
         report,
@@ -1834,20 +1639,6 @@ fn lead(
         from_cache: false,
         coalesced: false,
     })
-}
-
-/// Serves a follower that coalesced onto an in-flight leader: the standard
-/// cache-hit translation, re-flagged as a coalesced (not cached) result.
-fn serve_coalesced(
-    spec: &JobSpec,
-    energy: impl Fn(&[bool]) -> f64,
-    perm: &[usize],
-    cached: CachedResult,
-) -> JobResult {
-    let mut result = serve_cached(spec, energy, perm, cached);
-    result.from_cache = false;
-    result.coalesced = true;
-    result
 }
 
 /// Clones the job's options with a fresh [`StageProfile`] tee'd in front of
@@ -2005,43 +1796,30 @@ fn render_chrome_trace(traces: &[JobTrace]) -> String {
     out
 }
 
-/// Serves a cache hit. The common case — the requester's encoding is
-/// labeled exactly like the original submitter's — returns the stored
-/// report bit-identically. A permuted-but-identical encoding instead gets
-/// the canonical assignment translated into its own variable order, with
-/// the label-dependent fields (bits, energy, decode) re-derived; energy and
-/// feasibility are preserved by construction. `energy` scores a bit vector
-/// under the requester's labeling — either a compiled evaluation or
-/// [`qdm_qubo::model::QuboModel::energy`]; the two are bit-identical, so
-/// callers that never compiled (cluster-routed followers) pass the model's.
-fn serve_cached(
-    spec: &JobSpec,
-    energy: impl Fn(&[bool]) -> f64,
-    perm: &[usize],
-    cached: CachedResult,
-) -> JobResult {
-    let mut bits = vec![false; perm.len()];
-    for (i, slot) in bits.iter_mut().enumerate() {
-        *slot = cached.canonical_bits[perm[i]];
-    }
-    if bits == cached.report.bits {
-        return JobResult {
-            job_id: 0, // stamped with the queue id by the worker loop
-            report: cached.report,
-            backend: cached.backend,
-            from_cache: true,
-            coalesced: false,
-        };
-    }
-    let energy = energy(&bits);
-    let decoded = spec.problem.decode(&bits);
-    let report = PipelineReport { bits, energy, decoded, ..cached.report };
+/// Serves a stored result to the job behind `route`: a cache hit, or a
+/// follower of the flight that produced it (`coalesced`). The common case
+/// — the requester's encoding is labeled exactly like the original
+/// submitter's — returns the stored report bit-identically. A
+/// permuted-but-identical encoding instead gets the canonical assignment
+/// translated into its own variable order, with the label-dependent fields
+/// (bits, energy, decode) re-derived from its own model; energy and
+/// feasibility are preserved by construction.
+fn serve(spec: &JobSpec, route: &RouteInfo, cached: CachedResult, coalesced: bool) -> JobResult {
+    let bits: Vec<bool> =
+        route.perm.iter().map(|&canonical| cached.canonical_bits[canonical]).collect();
+    let report = if bits == cached.report.bits {
+        cached.report
+    } else {
+        let energy = route.qubo.energy(&bits);
+        let decoded = spec.problem.decode(&bits);
+        PipelineReport { bits, energy, decoded, ..cached.report }
+    };
     JobResult {
         job_id: 0, // stamped with the queue id by the worker loop
         report,
         backend: cached.backend,
-        from_cache: true,
-        coalesced: false,
+        from_cache: !coalesced,
+        coalesced,
     }
 }
 

@@ -345,16 +345,18 @@ impl Session<'_> {
 /// Enqueues a job on `shared`'s queue under an already-reserved session
 /// slot, with a caller-chosen job id and optional precomputed route. The
 /// shared submission path for [`Session::enqueue`] (shard-local ids, no
-/// route), the cluster front-end (cluster-wide ids, canonical route
-/// computed before shard selection, the tenant name for the journal), and
-/// crash recovery (journaled ids, `recovered` set so the replay does not
-/// re-append its own `Submitted` record).
+/// route), the cluster front-end (cluster-wide ids, route built before
+/// shard selection, the tenant name for the journal), and crash recovery
+/// (journaled ids, `recovered` set so the replay does not re-append its
+/// own `Submitted` record). A journaled submission without a route builds
+/// it here, because the journal needs the encoded model anyway; the job
+/// queues with it so the worker never encodes again.
 pub(crate) fn enqueue_reserved(
     shared: &Arc<Shared>,
     core: &Arc<SessionCore>,
     id: u64,
     spec: JobSpec,
-    route: Option<RouteInfo>,
+    mut route: Option<RouteInfo>,
     tenant: Option<&str>,
     recovered: bool,
 ) -> JobHandle {
@@ -369,14 +371,11 @@ pub(crate) fn enqueue_reserved(
     // problem object is gone after the crash.
     if !recovered {
         if let Some(journal) = &shared.journal {
-            let qubo = match &route {
-                Some(route) => (*route.qubo).clone(),
-                None => spec.problem.to_qubo(),
-            };
+            let route = route.get_or_insert_with(|| RouteInfo::encode(&*spec.problem));
             journal.append(JournalEvent::Submitted(SubmittedRecord {
                 job_id: id,
                 problem: spec.problem.name(),
-                qubo,
+                qubo: (*route.qubo).clone(),
                 options_bits: crate::cache::pack_options(&spec.options),
                 priority: spec.options.priority,
                 seed: spec.seed,

@@ -3,7 +3,7 @@
 //! stores recent traces in.
 //!
 //! Every traced job produces one [`JobTrace`]: a span per runtime stage —
-//! queue wait, compile+fingerprint, presolve/decompose preparation, one
+//! queue wait, compile, presolve/decompose preparation, one
 //! solve span per race participant (winner marked), serve — each stamped
 //! with monotonic nanosecond timestamps from the service's private epoch
 //! and carrying lane/session/fingerprint attribution plus the
@@ -34,7 +34,7 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
 pub enum Stage {
     /// Sitting in the service queue (enqueue → worker pickup).
     Queued,
-    /// The job's single QUBO compile plus canonical fingerprinting.
+    /// The job's single QUBO compile (flight leaders only).
     Compile,
     /// Pipeline preparation: presolve fixpoint + component extraction.
     Presolve,
@@ -124,6 +124,40 @@ pub struct Span {
 }
 
 impl Span {
+    /// A bare span of `stage` over `[start_ns, end_ns]`: no backend, no
+    /// counters, no prediction, not a winner.
+    pub(crate) fn new(stage: Stage, start_ns: u64, end_ns: u64) -> Self {
+        Self {
+            stage,
+            backend: None,
+            winner: false,
+            start_ns,
+            end_ns,
+            stats: StageStats::default(),
+            predicted_seconds: None,
+        }
+    }
+
+    /// Attributes the span to `backend`.
+    pub(crate) fn with_backend(mut self, backend: String) -> Self {
+        self.backend = Some(backend);
+        self
+    }
+
+    /// Attaches the counters collected during the span.
+    pub(crate) fn with_stats(mut self, stats: StageStats) -> Self {
+        self.stats = stats;
+        self
+    }
+
+    /// Marks a solve span with the router's latency quote and whether it
+    /// produced the job's result.
+    pub(crate) fn predicted(mut self, seconds: f64, winner: bool) -> Self {
+        self.predicted_seconds = Some(seconds);
+        self.winner = winner;
+        self
+    }
+
     /// Span duration in nanoseconds.
     pub fn duration_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
@@ -169,8 +203,8 @@ pub struct JobTrace {
     pub problem: String,
     /// Scheduling lane the job ran in.
     pub lane: JobPriority,
-    /// Canonical QUBO fingerprint (0 when the job never compiled — e.g.
-    /// coalesced followers and routing failures).
+    /// Canonical QUBO fingerprint (0 when the job never got as far as its
+    /// encoded route — cancelled while queued, or its `to_qubo` panicked).
     pub fingerprint: u64,
     /// The job's RNG seed.
     pub seed: u64,
@@ -384,13 +418,8 @@ mod tests {
             backend: Some("tabu".into()),
             shard: None,
             spans: vec![Span {
-                stage: Stage::Solve,
-                backend: Some("tabu".into()),
                 winner: true,
-                start_ns: job_id * 10,
-                end_ns: job_id * 10 + 5,
-                stats: StageStats::default(),
-                predicted_seconds: None,
+                ..Span::new(Stage::Solve, job_id * 10, job_id * 10 + 5).with_backend("tabu".into())
             }],
         }
     }

@@ -1,8 +1,9 @@
 //! The compile-once invariant, asserted via the process-wide compilation
 //! counter (`qdm_qubo::compiled::compilation_count`): a job on the service
 //! path compiles its QUBO **exactly once**, no matter how many stages and
-//! backends consume the compilation — fingerprinting, the solver hot loop,
-//! and all k participants of a portfolio race share one `Arc<CompiledQubo>`.
+//! backends consume the compilation — presolve, the solver hot loop, and
+//! all k participants of a portfolio race share one `Arc<CompiledQubo>` —
+//! and a cache hit does not compile at all.
 //!
 //! Everything runs inside a single `#[test]` because the counter is global
 //! to the process: this file is its own test binary, and one test body is
@@ -56,8 +57,7 @@ fn service_path_compiles_each_job_exactly_once() {
     let service =
         SolverService::new(ServiceConfig { workers: 2, cache_capacity: 64, ..Default::default() });
 
-    // Cache miss, pinned single backend: one compile, shared by the
-    // canonical fingerprint and the SA hot loop.
+    // Cache miss, pinned single backend: one compile, for the SA hot loop.
     let before = compilation_count();
     let first =
         service.run(JobSpec::new(pick(10), 7).on_backend("simulated-annealing")).expect("solvable");
@@ -66,6 +66,12 @@ fn service_path_compiles_each_job_exactly_once() {
         compilation_count() - before,
         1,
         "a pinned cache-miss job must compile exactly once"
+    );
+    // Its one compile had one consumer, so nothing was shared or saved.
+    assert_eq!(
+        service.report().compile_seconds_saved,
+        0.0,
+        "a single-backend job saves no compile time"
     );
 
     // Cache miss, 4-backend race: still one compile — all participants
@@ -79,18 +85,17 @@ fn service_path_compiles_each_job_exactly_once() {
         "a 4-backend race must share one compilation, not compile per backend"
     );
 
-    // Cache hit: the fingerprint still needs the (single) compilation, and
-    // nothing else compiles.
+    // Cache hit: the canonical fingerprint comes from the uncompiled
+    // model, so nothing compiles.
     let before = compilation_count();
     let again =
         service.run(JobSpec::new(pick(10), 7).on_backend("simulated-annealing")).expect("solvable");
     assert!(again.from_cache);
-    assert_eq!(compilation_count() - before, 1, "a cache hit compiles only for fingerprinting");
+    assert_eq!(compilation_count() - before, 0, "a cache hit must not compile");
     assert_eq!(again.report.bits, first.report.bits);
 
     // The shared compilation shows up in the ledger as compile time saved:
-    // the race amortized one compile across 5 consumers (fingerprint + 4
-    // backends).
+    // the race amortized one compile across 4 consumers (its 4 backends).
     let report = service.report();
     assert!(report.compile_seconds_saved > 0.0, "sharing must be accounted: {report}");
     assert_eq!(report.race_jobs, 1);

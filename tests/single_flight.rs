@@ -4,8 +4,9 @@
 //! **one** solve — the duplicate parks on the leader's in-flight entry and
 //! is served its published result bit-identically. Also covered: cancelling
 //! one of the coalesced pair never disturbs the other, and
-//! permuted-but-identical concurrent encodings coalesce at the canonical
-//! level with the follower's bits translated through its own permutation.
+//! permuted-but-identical concurrent encodings coalesce before either
+//! compiles, with the follower's bits translated through its own
+//! permutation.
 //!
 //! Everything runs inside a single `#[test]` because the compilation
 //! counter is global to the process: this file is its own test binary, and
@@ -160,12 +161,12 @@ fn concurrent_duplicates_single_flight_with_one_compile_and_cancel_isolation() {
     assert_eq!(report.jobs_completed, 2, "both handles resolved successfully");
 
     // The flight's result was also cached: a later identical submission is
-    // a plain cache hit (and compiles once, for fingerprinting only).
+    // a plain cache hit, and compiles nothing.
     let before = compilation_count();
     let again = session.submit(spec.clone()).wait().expect("cached");
     assert!(again.from_cache && !again.coalesced);
     assert_eq!(again.report.bits, a.report.bits);
-    assert_eq!(compilation_count() - before, 1, "a cache hit compiles only for fingerprinting");
+    assert_eq!(compilation_count() - before, 0, "a cache hit must not compile");
 
     // ----- Scenario 2: cancelling one of the pair never disturbs the -----
     // other (in particular, a cancelled follower never cancels its leader).
@@ -196,8 +197,8 @@ fn concurrent_duplicates_single_flight_with_one_compile_and_cancel_isolation() {
     assert_eq!(report.jobs_coalesced, 1);
 
     // ----- Scenario 3: permuted-but-identical concurrent encodings -------
-    // coalesce at the canonical level; the follower's bits are translated
-    // through its *own* permutation (the serve_cached machinery).
+    // coalesce on the canonical key; the follower's bits are translated
+    // through its *own* permutation (the cache-hit machinery).
     let service =
         SolverService::new(ServiceConfig { workers: 2, cache_capacity: 64, ..Default::default() });
     let session = service.session(SessionConfig { queue_capacity: 8, ..Default::default() });
@@ -224,9 +225,9 @@ fn concurrent_duplicates_single_flight_with_one_compile_and_cancel_isolation() {
 
     let f = fwd.wait().expect("solvable");
     let b = bwd.wait().expect("solvable");
-    // Distinct labelings must both compile (the canonical fingerprint IS
-    // the compile product) — but still only one of them may solve.
-    assert_eq!(compilation_count() - before, 2, "permuted duplicates compile once each");
+    // The canonical fingerprint comes from the uncompiled model, so the
+    // follower parks before compiling: only the leader compiles and solves.
+    assert_eq!(compilation_count() - before, 1, "permuted duplicates compile once in total");
     let mut mirrored = f.report.bits.clone();
     mirrored.reverse();
     assert_eq!(
