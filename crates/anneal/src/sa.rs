@@ -293,8 +293,8 @@ fn restart_seed(base: u64, restart: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Simulated annealing with restarts fanned out across `threads` scoped
-/// worker threads.
+/// Simulated annealing with restarts fanned out across `threads` threads:
+/// the calling thread plus `threads − 1` scoped workers.
 ///
 /// Each restart runs on its own `StdRng` seeded by a SplitMix64 mix of
 /// `seed` and the restart index. Restarts are partitioned into contiguous
@@ -333,9 +333,10 @@ pub fn simulated_annealing_parallel_compiled(
 }
 
 /// [`simulated_annealing_parallel_compiled`] reporting per-restart counters
-/// to `probe`. Restarts run on scoped worker threads, so the probe sees
-/// events concurrently and in no guaranteed order; the solve result stays
-/// bit-identical to the unprobed entry point at any thread count.
+/// to `probe`. Restarts run on the calling thread and scoped worker
+/// threads, so the probe sees events concurrently and in no guaranteed
+/// order; the solve result stays bit-identical to the unprobed entry point
+/// at any thread count.
 pub fn simulated_annealing_parallel_probed(
     c: &CompiledQubo,
     params: &SaParams,
@@ -383,15 +384,19 @@ pub fn simulated_annealing_parallel_probed(
         (best_bits, best, evals)
     };
 
+    // The calling thread runs chunk 0 itself and spawns one thread per
+    // further chunk.
     let mut outcomes: Vec<Option<(Vec<bool>, f64, u64)>> = vec![None; n_chunks];
-    if threads == 1 {
-        outcomes[0] = Some(run_chunk(0));
+    let (first, rest) = outcomes.split_first_mut().expect("at least one restart");
+    if rest.is_empty() {
+        *first = Some(run_chunk(0));
     } else {
         std::thread::scope(|scope| {
-            for (k, slot) in outcomes.iter_mut().enumerate() {
+            for (k, slot) in rest.iter_mut().enumerate() {
                 let run_chunk = &run_chunk;
-                scope.spawn(move || *slot = Some(run_chunk(k)));
+                scope.spawn(move || *slot = Some(run_chunk(k + 1)));
             }
+            *first = Some(run_chunk(0));
         });
     }
 
@@ -424,11 +429,12 @@ const MIN_CLASS_CHUNK: usize = 128;
 
 /// Evaluates one color class's flip proposals against the frozen pre-class
 /// state `x`, splitting the class into up to `threads` contiguous chunks
-/// evaluated on scoped threads (classes smaller than [`MIN_CLASS_CHUNK`]
-/// per thread run inline). `decisions[k]` receives `(delta, accept)` for
-/// the class's k-th member. Each decision is a pure function of
-/// `(x, u[k], t)` — chunk boundaries cannot change any value — so the
-/// filled decisions are bit-identical at every `threads` value.
+/// evaluated on the calling thread and scoped threads (classes smaller
+/// than [`MIN_CLASS_CHUNK`] per thread run inline). `decisions[k]`
+/// receives `(delta, accept)` for the class's k-th member. Each decision is
+/// a pure function of `(x, u[k], t)` — chunk boundaries cannot change any
+/// value — so the filled decisions are bit-identical at every `threads`
+/// value.
 fn decide_class(
     c: &CompiledQubo,
     x: &[bool],
@@ -449,14 +455,17 @@ fn decide_class(
         eval(class, u, decisions);
         return;
     }
+    // The calling thread evaluates the first chunk itself.
     let chunk = class.len().div_ceil(threads);
+    let (head, tail) = decisions.split_at_mut(chunk);
     std::thread::scope(|scope| {
         for ((members, u), decisions) in
-            class.chunks(chunk).zip(u.chunks(chunk)).zip(decisions.chunks_mut(chunk))
+            class[chunk..].chunks(chunk).zip(u[chunk..].chunks(chunk)).zip(tail.chunks_mut(chunk))
         {
             let eval = &eval;
             scope.spawn(move || eval(members, u, decisions));
         }
+        eval(&class[..chunk], &u[..chunk], head);
     });
 }
 

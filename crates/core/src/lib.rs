@@ -16,12 +16,15 @@
 //!   finding, plus classical baselines;
 //! - [`pipeline`] — problem → presolve → decompose → solve → repair →
 //!   decode, with telemetry;
+//! - [`cores`] — the process-wide core budget that sizes every fan-out
+//!   (parallel annealing, race participants) to the idle cores;
 //! - [`device`] — device profiles (D-Wave 2X, the Fig. 1b 5-qubit chip, …)
 //!   and fit/embedding checks;
 //! - [`roadmap`] — Table I and Fig. 2 as data, enforced by tests.
 
 #![warn(missing_docs)]
 
+pub mod cores;
 pub mod device;
 pub mod pipeline;
 pub mod problem;

@@ -238,6 +238,9 @@ pub fn prepare_pipeline<'a>(
 /// preparation was built with. Results are bit-identical to the historical
 /// single-pass pipeline — component solves run on compilations of exactly
 /// the models the solver used to compile itself.
+///
+/// The calling thread holds a [`crate::cores`] occupancy for the run, so a
+/// parallel solver fans out only onto cores no other caller is using.
 pub fn run_prepared(
     problem: &dyn DmProblem,
     prepared: &PreparedPipeline<'_>,
@@ -245,6 +248,7 @@ pub fn run_prepared(
     options: &PipelineOptions,
     rng: &mut StdRng,
 ) -> PipelineReport {
+    let _held = crate::cores::occupy();
     let start = Instant::now();
     let mut bits = prepared.base_bits.clone();
     let mut evaluations = 0u64;

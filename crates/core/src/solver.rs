@@ -5,13 +5,14 @@
 //! `QuboSolver` here; the classical baselines (exact, tabu, random) share
 //! the interface so every experiment can compare like-for-like.
 
+use crate::cores;
 use qdm_algos::grover::durr_hoyer_minimum;
 use qdm_algos::qaoa::{qaoa_optimize, EnergyTable, QaoaParams};
 use qdm_algos::vqe::{vqe_optimize, VqeParams};
 use qdm_anneal::sa::{
-    simulated_annealing_colored, simulated_annealing_colored_probed, simulated_annealing_compiled,
-    simulated_annealing_parallel_compiled, simulated_annealing_parallel_probed,
-    simulated_annealing_probed, SaParams, COLORED_SWEEP_MIN_VARS,
+    simulated_annealing_colored_probed, simulated_annealing_compiled,
+    simulated_annealing_parallel_probed, simulated_annealing_probed, SaParams,
+    COLORED_SWEEP_MIN_VARS,
 };
 use qdm_anneal::sqa::{
     simulated_quantum_annealing_compiled, simulated_quantum_annealing_probed, SqaParams,
@@ -19,7 +20,7 @@ use qdm_anneal::sqa::{
 use qdm_anneal::tabu::{tabu_search_compiled, tabu_search_probed, TabuParams};
 use qdm_qubo::compiled::CompiledQubo;
 use qdm_qubo::model::{bits_from_index, QuboModel};
-use qdm_qubo::probe::StageProbe;
+use qdm_qubo::probe::{NoProbe, StageProbe};
 use qdm_qubo::solve::{
     solve_exact, solve_exact_compiled, solve_random_compiled, SolveResult, MAX_EXACT_VARS,
 };
@@ -136,8 +137,8 @@ impl QuboSolver for SaSolver {
 /// Classical simulated annealing with two parallelism axes, chosen by
 /// instance size:
 ///
-/// - below [`COLORED_SWEEP_MIN_VARS`]: restarts fan out across a scoped
-///   thread pool (`qdm_anneal::sa::simulated_annealing_parallel`);
+/// - below [`COLORED_SWEEP_MIN_VARS`]: restarts fan out across scoped
+///   threads (`qdm_anneal::sa::simulated_annealing_parallel`);
 /// - at/above it: graph-colored sweep parallelism *inside* each restart
 ///   (`qdm_anneal::sa::simulated_annealing_colored`) — one huge restart
 ///   parallelizes even when there are few restarts to fan out.
@@ -146,13 +147,18 @@ impl QuboSolver for SaSolver {
 /// SplitMix64-derived by index, color-class decisions are pure per-proposal
 /// functions, and every best-pick runs in index order. The job's RNG
 /// contributes exactly one `u64` (the base seed), so the runtime's
-/// fixed-seed reproducibility contract holds here too.
+/// fixed-seed reproducibility contract holds here too — and the thread
+/// count, which follows machine load when [`Self::threads`] is `None`,
+/// never shows in a result.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SaParallelSolver {
     /// Optional fixed parameters; auto-scaled to the model when `None`.
     pub params: Option<SaParams>,
-    /// Worker threads for the restart fan-out; hardware parallelism when
-    /// `None` (capped at the restart count either way).
+    /// Threads for the fan-out. `Some(n)` runs exactly `n` (restart fan-out
+    /// caps it at the restart count). `None` runs the calling thread plus
+    /// the *idle* cores the process-wide [`crate::cores`] budget grants —
+    /// up to one per restart (per hardware thread for colored sweeps) on an
+    /// idle machine, none when every core already runs job work.
     pub threads: Option<usize>,
 }
 
@@ -167,16 +173,7 @@ impl QuboSolver for SaParallelSolver {
         100_000
     }
     fn solve_compiled(&self, c: &CompiledQubo, rng: &mut StdRng) -> SolveResult {
-        let params = self.params.unwrap_or_else(|| SaParams::scaled_to_compiled(c));
-        let threads = self
-            .threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
-        let seed = rng.next_u64();
-        if c.n_vars() >= COLORED_SWEEP_MIN_VARS {
-            simulated_annealing_colored(c, &params, seed, threads)
-        } else {
-            simulated_annealing_parallel_compiled(c, &params, seed, threads)
-        }
+        self.solve_observed(c, rng, &NoProbe)
     }
     fn solve_observed(
         &self,
@@ -185,11 +182,19 @@ impl QuboSolver for SaParallelSolver {
         probe: &dyn StageProbe,
     ) -> SolveResult {
         let params = self.params.unwrap_or_else(|| SaParams::scaled_to_compiled(c));
+        let colored = c.n_vars() >= COLORED_SWEEP_MIN_VARS;
+        let seed = rng.next_u64();
+        // Both guards live for the whole solve and release on unwind too.
+        let budget = self.threads.is_none().then(|| {
+            let held = cores::occupy();
+            let hw = cores::hardware_threads();
+            let wanted = if colored { hw } else { params.restarts.max(1).min(hw) };
+            (held, cores::grant(wanted - 1))
+        });
         let threads = self
             .threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
-        let seed = rng.next_u64();
-        if c.n_vars() >= COLORED_SWEEP_MIN_VARS {
+            .unwrap_or_else(|| 1 + budget.as_ref().map_or(0, |(_, grant)| grant.extra()));
+        if colored {
             simulated_annealing_colored_probed(c, &params, seed, threads, probe)
         } else {
             simulated_annealing_parallel_probed(c, &params, seed, threads, probe)

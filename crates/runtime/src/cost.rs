@@ -53,6 +53,7 @@
 
 use crate::registry::SolverSpec;
 use crate::sync::LockExt;
+use qdm_core::cores;
 use qdm_core::solver::SolverKind;
 use std::sync::Mutex;
 
@@ -175,7 +176,11 @@ impl CostShape {
 /// The parallel-restart SA divides by the host's hardware threads
 /// (restarts fan out across the machine; on a single-core host it
 /// degrades to the serial curve and ties break by registration order,
-/// which lists serial SA first).
+/// which lists serial SA first). The quote assumes every hardware thread
+/// even though the solver fans out only onto the cores the
+/// [`qdm_core::cores`] budget finds idle, so on a saturated service it
+/// underprices the parallel backend; pricing that contention into routing
+/// is open work.
 pub fn analytic_seconds(spec: &SolverSpec, shape: CostShape) -> f64 {
     let n = shape.n_vars as f64;
     // Degree enters as "work per sweep position"; at least 1 so an empty
@@ -188,13 +193,7 @@ pub fn analytic_seconds(spec: &SolverSpec, shape: CostShape) -> f64 {
             (n.min(30.0)).exp2() * GATE_STATE_SECONDS
         }
         SolverKind::Annealing if spec.name.ends_with("-parallel") => {
-            // The parallelism probe is a syscall on Linux, so cache it —
-            // the estimator runs per eligible backend on every routing
-            // decision.
-            static HW_THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-            let hw = *HW_THREADS
-                .get_or_init(|| std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1));
-            DEFAULT_SWEEPS * sweep_work / hw as f64
+            DEFAULT_SWEEPS * sweep_work / cores::hardware_threads() as f64
         }
         SolverKind::Annealing => DEFAULT_SWEEPS * sweep_work,
         SolverKind::Classical if spec.name == "exact" => (n.min(40.0)).exp2() * EXACT_STATE_SECONDS,

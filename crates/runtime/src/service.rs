@@ -48,6 +48,7 @@ use crate::trace::{
     JobTrace, Span, Stage, StageProfile, StageStats, TraceConfig, TraceOutcome, TraceRing,
     TraceSink, DEFAULT_TRACE_CAPACITY,
 };
+use qdm_core::cores;
 use qdm_core::pipeline::{
     prepare_pipeline, run_prepared, JobPriority, PipelineOptions, PipelineReport, PreparedPipeline,
 };
@@ -74,13 +75,14 @@ pub enum BackendChoice {
     /// Pin the job to a named backend (e.g. `"simulated-annealing"`).
     Named(String),
     /// Race the portfolio's top-`k` admissible backends against each other
-    /// on scoped threads, every participant solving the job's **single
-    /// shared compilation**. The winner is picked deterministically — best
-    /// energy, ties to the higher-ranked participant, scanning in ranking
-    /// order — so the result is bit-identical at any thread count and
-    /// `Race { k: 1 }` reproduces `Auto`'s result exactly. Every
-    /// participant's latency/quality and the race outcome feed the
-    /// portfolio scheduler.
+    /// — concurrently on the idle cores the [`qdm_core::cores`] budget
+    /// grants, in turn on the worker beyond that — every participant
+    /// solving the job's **single shared compilation**. The winner is
+    /// picked deterministically — best energy, ties to the higher-ranked
+    /// participant, scanning in ranking order — so the result is
+    /// bit-identical at any thread count and `Race { k: 1 }` reproduces
+    /// `Auto`'s result exactly. Every participant's latency/quality and the
+    /// race outcome feed the portfolio scheduler.
     Race {
         /// How many of the top-ranked eligible backends race (clamped to
         /// `1..=eligible`).
@@ -473,7 +475,8 @@ impl Shared {
 /// Service configuration.
 #[derive(Clone)]
 pub struct ServiceConfig {
-    /// Worker threads in the pool.
+    /// Worker threads in the pool; the default is one per hardware thread
+    /// ([`qdm_core::cores::hardware_threads`]).
     pub workers: usize,
     /// Result-cache capacity (entries).
     pub cache_capacity: usize,
@@ -517,9 +520,8 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
         Self {
-            workers,
+            workers: cores::hardware_threads(),
             cache_capacity: 4096,
             scheduling: SchedulerPolicy::default(),
             tracing: TraceConfig::default(),
@@ -859,6 +861,9 @@ impl Drop for SolverService {
 
 fn worker_loop(shared: &Shared) {
     while let Some(job) = next_job(shared) {
+        // The worker's core counts as busy while it runs a job, so a
+        // backend's fan-out takes only the cores no other worker holds.
+        let _held = cores::occupy();
         run_job(shared, job);
     }
 }
@@ -1270,7 +1275,7 @@ fn process(
                 shared.metrics.on_coalesced();
                 let park_start_ns = if trace.is_some() { shared.now_ns() } else { 0 };
                 match flight.wait() {
-                    FlightResolution::Served(cached) => {
+                    FlightResolution::Served(cached) if cached.fits(n_vars) => {
                         shared.metrics.on_coalesced_served();
                         let result = serve(spec, route, cached, true);
                         push_serve_span(shared, trace, park_start_ns, &result);
@@ -1282,10 +1287,11 @@ fn process(
                         shared.metrics.on_failed();
                         return Err(err);
                     }
-                    // The leader panicked without publishing: retry from
+                    // The leader panicked without publishing, or published
+                    // a colliding key's result of another size: retry from
                     // the top — this job may become the new leader. The
                     // park suppressed nothing, so net it back out.
-                    FlightResolution::Abandoned => {
+                    FlightResolution::Served(_) | FlightResolution::Abandoned => {
                         shared.metrics.on_coalesce_abandoned();
                         continue;
                     }
@@ -1490,33 +1496,38 @@ fn lead(
     // Solve: every participant runs the back half on the *same* shared
     // preparation (and therefore the same shared compilation), each under
     // its own RNG seeded from the job seed, so a single-backend job is
-    // just a race of one. Scoped threads let the participants borrow the
-    // preparation without refcount churn; results land in per-participant
-    // slots, so completion order is irrelevant.
+    // just a race of one. The first participant runs on this worker; the
+    // next ones run on scoped threads, one per idle core the budget
+    // grants, and any beyond the grant run on this worker after the first,
+    // in ranking order. Results land in per-participant slots, so neither
+    // the grant nor completion order can change the outcome.
+    let run = |idx| run_participant(shared, spec, &prepared, idx, tracing, deadline_probe.as_ref());
     let mut outcomes: Vec<Option<Result<ParticipantRun, JobError>>> =
         (0..participants.len()).map(|_| None).collect();
-    if participants.len() == 1 {
-        // Fast path: no spawn for the common non-race job.
-        outcomes[0] = Some(run_participant(
-            shared,
-            spec,
-            &prepared,
-            participants[0],
-            tracing,
-            deadline_probe.as_ref(),
-        ));
+    let grant = cores::grant(participants.len() - 1);
+    let mut slots = outcomes.iter_mut().zip(&participants);
+    if grant.extra() == 0 {
+        // No spawn for a non-race job or on a saturated machine.
+        for (slot, &idx) in slots {
+            *slot = Some(run(idx));
+        }
     } else {
+        let (first_slot, &first_idx) = slots.next().expect("routing picks at least one backend");
         std::thread::scope(|scope| {
-            for (slot, &idx) in outcomes.iter_mut().zip(&participants) {
-                let prepared = &prepared;
-                let deadline_probe = deadline_probe.as_ref();
+            for (slot, &idx) in slots.by_ref().take(grant.extra()) {
+                let (run, grant) = (&run, &grant);
                 scope.spawn(move || {
-                    *slot =
-                        Some(run_participant(shared, spec, prepared, idx, tracing, deadline_probe));
+                    let _held = grant.enter();
+                    *slot = Some(run(idx));
                 });
+            }
+            *first_slot = Some(run(first_idx));
+            for (slot, &idx) in slots {
+                *slot = Some(run(idx));
             }
         });
     }
+    drop(grant);
 
     // Deterministic winner pick among the participants that produced a
     // result: scan in ranking order with strict `<`, so the best energy
@@ -1919,6 +1930,35 @@ mod tests {
         assert_eq!(result.report.bits.len(), 4);
         assert!(result.report.decoded.feasible);
         assert_eq!(service.report().cache_hits, 0);
+    }
+
+    #[test]
+    fn coalesced_result_of_another_size_is_not_served() {
+        // A 3-variable result published to the flight a 4-variable job
+        // parked on: what a same-key collision across model sizes would
+        // hand a follower. Served, its short assignment would panic the
+        // translation; the follower must solve instead.
+        let donor = SolverService::new(ServiceConfig { workers: 1, ..Default::default() });
+        donor.run(JobSpec::new(pick(3), 3)).expect("solvable");
+        let (_, wrong_size) = donor.save_snapshot().entries.remove(0);
+        let spec = JobSpec::new(pick(4), 3);
+        let fingerprint = spec.problem.to_qubo().canonical_fingerprint();
+        let key = CacheKey::new(spec.problem.name(), fingerprint, &spec.options, 3, None);
+        let service = SolverService::new(ServiceConfig { workers: 1, ..Default::default() });
+        let FlightRole::Leader(lease) = service.shared.inflight.join_or_lead(key) else {
+            panic!("the flight table starts empty");
+        };
+        let session = service.session(crate::submit::SessionConfig::default());
+        let handle = session.submit(spec);
+        while service.report().jobs_coalesced < 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        lease.publish(Ok(wrong_size));
+
+        let result = handle.wait().expect("the job solves instead of panicking");
+        assert!(!result.coalesced);
+        assert_eq!(result.report.bits.len(), 4);
+        assert!(result.report.decoded.feasible);
     }
 
     #[test]
