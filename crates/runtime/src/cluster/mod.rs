@@ -29,6 +29,11 @@
 //!   deterministic order. A migrating job carries its precomputed route,
 //!   so *where* it runs never changes *what* it computes: per-job seeded
 //!   RNGs keep results bit-identical to a single-shard run.
+//! - **Work conservation** — a shard worker that finds its own queue
+//!   empty runs the next job of the deepest peer queue instead of
+//!   sleeping, and a job landing on a shard whose workers are all busy
+//!   wakes an idle peer worker. Shards thus share their workers without
+//!   any polling, and no worker idles while a peer holds queued work.
 //! - **Shard failover** — an injectable [`HealthProbe`] marks shards
 //!   healthy or dead. New submissions whose ring owner is dead re-route
 //!   to the next healthy shard clockwise (each dead arc re-routes to one
@@ -38,9 +43,20 @@
 //!   Because a failed-over job travels with its precomputed route and
 //!   seed, results stay bit-identical to a healthy cluster's.
 //!
+//! **Ownership never moves.** A job belongs to the shard that admitted it.
+//! The idle pull, migration, and failover lend only a worker: wherever the
+//! job runs, its owner's cache, single-flight table, portfolio, breakers,
+//! journal, trace ring, and ledger serve it. So a moved job's result is
+//! cached where its resubmissions route, its `Completed` record lands in
+//! the journal that holds its `Submitted` record (a cluster rebuilt over
+//! those journals replays nothing already delivered), and each shard's
+//! own ledger balances. Only the queue-depth gauge follows the job's
+//! physical queue, and the executing shard counts the job in
+//! [`RuntimeReport::jobs_run_for_peers`].
+//!
 //! Observability spans shards: [`ClusterService::report`] merges per-shard
 //! [`RuntimeReport`]s ([`RuntimeReport::merge`]) with shard-tagged queue
-//! depth gauges, and every trace carries its shard id.
+//! depth gauges, and every trace carries its owner's shard id.
 
 pub mod admission;
 pub mod clock;
@@ -52,14 +68,14 @@ pub use clock::{Clock, ManualClock, MonotonicClock};
 use crate::handle::{Completion, JobHandle};
 use crate::metrics::RuntimeReport;
 use crate::registry::SolverRegistry;
-use crate::service::{JobSpec, RouteInfo, ServiceConfig, SolverService};
+use crate::service::{JobSpec, RouteInfo, ServiceConfig, Shared, SolverService};
 use crate::submit::{enqueue_reserved, Completions, SessionConfig, SessionCore, SubmitError};
 use crate::sync::LockExt;
 use crate::trace::JobTrace;
 use admission::AdmissionController;
 use ring::HashRing;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Base for cluster-issued job and session ids. Shard-local ids start at
@@ -202,7 +218,7 @@ impl ClusterService {
             );
         }
         let epoch = config.service.epoch.unwrap_or_else(Instant::now);
-        let shards: Vec<SolverService> = registries
+        let shared: Vec<Arc<Shared>> = registries
             .into_iter()
             .enumerate()
             .map(|(i, registry)| {
@@ -210,7 +226,7 @@ impl ClusterService {
                     Some(journals) => Some(Arc::clone(&journals[i])),
                     None => config.service.journal.clone(),
                 };
-                SolverService::with_registry(
+                SolverService::build(
                     registry,
                     ServiceConfig {
                         shard: Some(i as u64),
@@ -220,6 +236,20 @@ impl ClusterService {
                     },
                 )
             })
+            .collect();
+        // Wire every shard to its peers before any worker starts, so an
+        // idle worker's first wait already counts it idle to its peers.
+        if shared.len() > 1 {
+            let all: Vec<Weak<Shared>> = shared.iter().map(Arc::downgrade).collect();
+            for (i, shard) in shared.iter().enumerate() {
+                let mut peers = all.clone();
+                peers.remove(i);
+                assert!(shard.peers.set(peers).is_ok(), "a fresh shard has no peers yet");
+            }
+        }
+        let shards: Vec<SolverService> = shared
+            .into_iter()
+            .map(|shard| SolverService::start(shard, config.service.workers))
             .collect();
         let ring = HashRing::new(shards.len(), RING_REPLICAS);
         Self {
@@ -284,8 +314,11 @@ impl ClusterService {
     /// drained job re-routes by its precomputed canonical fingerprint to
     /// the next healthy shard clockwise and moves through the same
     /// pop/push accounting as load-balancing migration (donor counts the
-    /// dequeue + migration, recipient counts the enqueue + failover), so
-    /// the merged ledger stays balanced and no job is lost or duplicated.
+    /// dequeue + migration, recipient counts the enqueue + failover). The
+    /// job still belongs to the shard that admitted it, so every shard's
+    /// ledger stays balanced and no job is lost or duplicated. Idle peer
+    /// workers may already have pulled some of the queue by the time this
+    /// runs; the drain moves whatever is left.
     /// Jobs a dead shard's worker already claimed are out of reach —
     /// "dead" here means the shard stopped making progress, and the retry
     /// layer inside each shard handles in-flight failures. A no-op
@@ -321,11 +354,7 @@ impl ClusterService {
                 from.metrics.on_migrated();
                 to.metrics.on_enqueue();
                 to.metrics.on_failover();
-                {
-                    let mut queue = to.queue.lock_unpoisoned();
-                    queue.push(job);
-                }
-                to.job_ready.notify_one();
+                to.push(job);
             }
         }
     }
@@ -346,10 +375,9 @@ impl ClusterService {
 
     /// The merged cluster-wide ledger: every per-shard
     /// [`RuntimeReport`] summed via [`RuntimeReport::merge`], with
-    /// shard-tagged queue depth gauges. Per-shard ledgers do not
-    /// individually balance once jobs migrate (the donor counted the
-    /// submit, the recipient counts the completion) — the merged report is
-    /// the one that always does.
+    /// shard-tagged queue depth gauges. Each shard's own ledger balances
+    /// too: a job is counted submitted and resolved on the shard that
+    /// admitted it, wherever it ran.
     pub fn report(&self) -> RuntimeReport {
         let reports = self.shard_reports();
         RuntimeReport::merge(&reports)
@@ -405,8 +433,9 @@ impl ClusterService {
     /// recipient selection break ties toward the lowest shard index and
     /// each shard's scheduler pops in its deterministic order, so the
     /// migration sequence is reproducible. The job moves with its
-    /// precomputed route and untouched completion slot/session — nothing
-    /// about its eventual result changes, only which worker pool runs it.
+    /// precomputed route, owner, and untouched completion slot/session —
+    /// nothing about its eventual result or its accounting changes, only
+    /// which worker pool runs it.
     fn maybe_migrate(&self) {
         let Some(threshold) = self.migration_threshold else { return };
         if self.shards.len() < 2 {
@@ -442,11 +471,7 @@ impl ClusterService {
             from.metrics.on_dequeue();
             from.metrics.on_migrated();
             to.metrics.on_enqueue();
-            {
-                let mut queue = to.queue.lock_unpoisoned();
-                queue.push(job);
-            }
-            to.job_ready.notify_one();
+            to.push(job);
         }
     }
 

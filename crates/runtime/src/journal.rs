@@ -24,7 +24,8 @@
 //! [`FileJournal`] is a write-ahead log: each record is a little-endian
 //! `u32` payload length followed by the payload, appended and flushed per
 //! event. Readers tolerate a torn tail (a record cut short by the crash is
-//! ignored, never misparsed), which is the standard WAL recovery contract.
+//! ignored, never misparsed), and reopening the log cuts that tail off
+//! before the next append — the standard WAL recovery contract.
 
 use crate::service::{BackendChoice, JobSpec, SharedProblem};
 use crate::sync::LockExt;
@@ -410,9 +411,9 @@ impl Journal for MemoryJournal {
 ///
 /// Reading tolerates a torn tail — a trailing record whose prefix or
 /// payload was cut short by a crash is ignored, and every record before it
-/// is still served. Appending to a journal with a torn tail is not
-/// repaired here; recovery normally replays into a *fresh* journal and
-/// retires the old one.
+/// is still served. [`FileJournal::open`] repairs the tail: it truncates
+/// the file to its last whole record before appending, so records written
+/// after a crash are never hidden behind the torn one.
 #[derive(Debug)]
 pub struct FileJournal {
     path: PathBuf,
@@ -421,10 +422,17 @@ pub struct FileJournal {
 
 impl FileJournal {
     /// Opens (creating if absent) the journal at `path` for appending.
-    /// Existing records are preserved and served by [`Journal::events`].
+    /// Existing whole records are preserved and served by
+    /// [`Journal::events`]; a torn or corrupt tail left by a crash is cut
+    /// off first.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let buf = std::fs::read(&path)?;
+        let (_, whole) = decode_records(&buf);
+        if whole < buf.len() {
+            file.set_len(whole as u64)?;
+        }
         Ok(Self { path, file: Mutex::new(file) })
     }
 
@@ -451,22 +459,28 @@ impl Journal for FileJournal {
 
     fn events(&self) -> Vec<JournalEvent> {
         let Ok(buf) = std::fs::read(&self.path) else { return Vec::new() };
-        let mut events = Vec::new();
-        let mut pos = 0usize;
-        while pos + 4 <= buf.len() {
-            let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            let Some(end) = pos.checked_add(4).and_then(|p| p.checked_add(len)) else { break };
-            if end > buf.len() {
-                break; // torn tail: the crash cut this record short
-            }
-            match JournalEvent::from_bytes(&buf[pos + 4..end]) {
-                Some(event) => events.push(event),
-                None => break, // corrupt tail: stop at the last good record
-            }
-            pos = end;
-        }
-        events
+        decode_records(&buf).0
     }
+}
+
+/// Decodes the log's records up to the first one a crash cut short or
+/// corrupted, returning them with the byte length of that whole prefix.
+fn decode_records(buf: &[u8]) -> (Vec<JournalEvent>, usize) {
+    let mut events = Vec::new();
+    let mut pos = 0usize;
+    while pos + 4 <= buf.len() {
+        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes")) as usize;
+        let Some(end) = pos.checked_add(4).and_then(|p| p.checked_add(len)) else { break };
+        if end > buf.len() {
+            break; // torn tail: the crash cut this record short
+        }
+        match JournalEvent::from_bytes(&buf[pos + 4..end]) {
+            Some(event) => events.push(event),
+            None => break, // corrupt tail: stop at the last good record
+        }
+        pos = end;
+    }
+    (events, pos)
 }
 
 /// The submissions in `events` with no terminal (`Completed`/`Cancelled`)
@@ -789,6 +803,37 @@ mod tests {
             raw.write_all(&[1, 2, 3]).expect("torn payload");
         }
         assert_eq!(journal.events().len(), 4, "torn tail is ignored, good prefix served");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn appends_after_a_torn_tail_survive_the_next_reopen() {
+        let dir = std::env::temp_dir().join("qdm-journal-test");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join(format!("wal-torn-{}.log", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+
+        {
+            let journal = FileJournal::open(&path).expect("open");
+            journal.append(submitted(1));
+            journal.append(submitted(2));
+        }
+        // The crash cut the third record short.
+        {
+            let mut raw = std::fs::OpenOptions::new().append(true).open(&path).expect("raw");
+            raw.write_all(&64u32.to_le_bytes()).expect("torn prefix");
+            raw.write_all(&[JOURNAL_CODEC_VERSION, 0, 9]).expect("torn payload");
+        }
+        // Restart: the completion written after the torn tail must be
+        // read back on the restart after that.
+        FileJournal::open(&path)
+            .expect("reopen")
+            .append(JournalEvent::Completed { job_id: 1, fingerprint: 7 });
+        let events = FileJournal::open(&path).expect("reopen again").events();
+        assert_eq!(events.len(), 3, "the post-crash append is readable");
+        assert!(matches!(events[2], JournalEvent::Completed { job_id: 1, fingerprint: 7 }));
+        let open: Vec<u64> = unfinished(&events).iter().map(|r| r.job_id).collect();
+        assert_eq!(open, vec![2]);
         let _ = std::fs::remove_file(&path);
     }
 

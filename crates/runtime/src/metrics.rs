@@ -70,6 +70,7 @@ pub struct Metrics {
     jobs_admitted: AtomicU64,
     jobs_shed: AtomicU64,
     migrations: AtomicU64,
+    jobs_run_for_peers: AtomicU64,
     jobs_retried: AtomicU64,
     retries_exhausted: AtomicU64,
     deadlines_exceeded: AtomicU64,
@@ -243,6 +244,14 @@ impl Metrics {
         self.migrations.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records a job this shard's worker ran for the peer shard that
+    /// admitted it (pulled from the peer's queue, or moved here by
+    /// migration or failover). Counted on the **executing** shard; every
+    /// other counter of the job lands on its owner.
+    pub fn on_run_for_peer(&self) {
+        self.jobs_run_for_peers.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records one retry attempt: a job whose try failed retryably (panic
     /// or injected error) and was put back through processing under the
     /// service's [`crate::fault::RetryPolicy`].
@@ -347,6 +356,7 @@ impl Metrics {
             jobs_admitted: self.jobs_admitted.load(Ordering::Relaxed),
             jobs_shed: self.jobs_shed.load(Ordering::Relaxed),
             migrations: self.migrations.load(Ordering::Relaxed),
+            jobs_run_for_peers: self.jobs_run_for_peers.load(Ordering::Relaxed),
             jobs_retried: self.jobs_retried.load(Ordering::Relaxed),
             retries_exhausted: self.retries_exhausted.load(Ordering::Relaxed),
             deadlines_exceeded: self.deadlines_exceeded.load(Ordering::Relaxed),
@@ -452,6 +462,10 @@ pub struct RuntimeReport {
     /// Queued jobs migrated away from this shard to rebalance queue depths
     /// (counted on the donor).
     pub migrations: u64,
+    /// Jobs this shard's workers ran for the peer shard that admitted them
+    /// (counted on the executing shard). Those jobs' own counters — the
+    /// ledger, cache, and latency series — stay on their owner.
+    pub jobs_run_for_peers: u64,
     /// Retry attempts: tries re-run after a retryable failure (panic or
     /// injected error) under the service's [`crate::fault::RetryPolicy`].
     pub jobs_retried: u64,
@@ -549,6 +563,7 @@ impl RuntimeReport {
             jobs_admitted: 0,
             jobs_shed: 0,
             migrations: 0,
+            jobs_run_for_peers: 0,
             jobs_retried: 0,
             retries_exhausted: 0,
             deadlines_exceeded: 0,
@@ -592,6 +607,7 @@ impl RuntimeReport {
             merged.jobs_admitted += r.jobs_admitted;
             merged.jobs_shed += r.jobs_shed;
             merged.migrations += r.migrations;
+            merged.jobs_run_for_peers += r.jobs_run_for_peers;
             merged.jobs_retried += r.jobs_retried;
             merged.retries_exhausted += r.retries_exhausted;
             merged.deadlines_exceeded += r.deadlines_exceeded;
@@ -807,6 +823,11 @@ impl RuntimeReport {
                 self.migrations as f64,
             ),
             (
+                "jobs_run_for_peers_total",
+                "Jobs this shard's workers ran for the peer shard that admitted them.",
+                self.jobs_run_for_peers as f64,
+            ),
+            (
                 "failovers_total",
                 "Jobs routed or drained here because their home shard was unhealthy.",
                 self.failovers as f64,
@@ -955,11 +976,15 @@ impl std::fmt::Display for RuntimeReport {
             self.backpressure_waits,
             self.jobs_cancelled
         )?;
-        if self.jobs_admitted > 0 || self.jobs_shed > 0 || self.migrations > 0 {
+        if self.jobs_admitted > 0
+            || self.jobs_shed > 0
+            || self.migrations > 0
+            || self.jobs_run_for_peers > 0
+        {
             writeln!(
                 f,
-                "cluster: {} admitted, {} shed, {} migrations",
-                self.jobs_admitted, self.jobs_shed, self.migrations
+                "cluster: {} admitted, {} shed, {} migrations, {} run for peers",
+                self.jobs_admitted, self.jobs_shed, self.migrations, self.jobs_run_for_peers
             )?;
         }
         if self.jobs_retried > 0 || self.retries_exhausted > 0 || self.deadlines_exceeded > 0 {
@@ -1215,16 +1240,22 @@ mod tests {
         m.on_admitted();
         m.on_shed();
         m.on_migrated();
+        m.on_run_for_peer();
         let mut r = m.report();
         assert_eq!(r.jobs_admitted, 2);
         assert_eq!(r.jobs_shed, 1);
         assert_eq!(r.migrations, 1);
+        assert_eq!(r.jobs_run_for_peers, 1);
         assert_eq!(r.shard, None);
         let text = r.render_prometheus();
         assert!(text.contains("qdm_jobs_admitted_total 2\n"), "{text}");
         assert!(text.contains("qdm_jobs_shed_total 1\n"), "{text}");
         assert!(text.contains("qdm_migrations_total 1\n"), "{text}");
-        assert!(r.to_string().contains("cluster: 2 admitted, 1 shed, 1 migrations"), "{r}");
+        assert!(text.contains("qdm_jobs_run_for_peers_total 1\n"), "{text}");
+        assert!(
+            r.to_string().contains("cluster: 2 admitted, 1 shed, 1 migrations, 1 run for peers"),
+            "{r}"
+        );
 
         // Shard-tagged reports label the cluster counters.
         r.shard = Some(3);
@@ -1232,6 +1263,7 @@ mod tests {
         assert!(text.contains("qdm_jobs_admitted_total{shard=\"3\"} 2\n"), "{text}");
         assert!(text.contains("qdm_jobs_shed_total{shard=\"3\"} 1\n"), "{text}");
         assert!(text.contains("qdm_migrations_total{shard=\"3\"} 1\n"), "{text}");
+        assert!(text.contains("qdm_jobs_run_for_peers_total{shard=\"3\"} 1\n"), "{text}");
     }
 
     #[test]
@@ -1252,6 +1284,8 @@ mod tests {
         b.on_solved("simulated-annealing", 1e-6);
         b.on_served(3000e-6);
         b.on_migrated();
+        a.on_run_for_peer();
+        b.on_run_for_peer();
         let mut ra = a.report();
         ra.shard = Some(0);
         let mut rb = b.report();
@@ -1265,6 +1299,7 @@ mod tests {
         assert_eq!(merged.jobs_admitted, 2);
         assert_eq!(merged.jobs_shed, 1);
         assert_eq!(merged.migrations, 1);
+        assert_eq!(merged.jobs_run_for_peers, 2);
         assert_eq!(merged.queue_depth, 1);
         assert_eq!(merged.shard, None);
         assert_eq!(merged.shard_queue_depths, vec![(0, 1), (1, 0)]);

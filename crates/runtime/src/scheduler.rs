@@ -23,10 +23,11 @@
 //!    cost model — see [`crate::cost`]), so a session submitting many or
 //!    expensive jobs interleaves fairly with light ones instead of
 //!    walling them off: fairness meters seconds of backend time, not job
-//!    counts or raw variable counts. This
-//!    also subsumes the work-stealing item from the ROADMAP: an idle worker
-//!    pops from whichever session has queued work — there is no per-worker
-//!    queue to steal from in the first place.
+//!    counts or raw variable counts. Within one service there is nothing
+//!    to steal: every worker pops this one shared queue, so an idle worker
+//!    serves whichever session has queued work. That stops at the shard
+//!    boundary — across a cluster's shards, idle workers pull from their
+//!    peers' queues instead (see [`crate::cluster`]).
 //!
 //! [`SchedulerPolicy::StrictPriority`] keeps the original
 //! drain-highest-first single-FIFO behavior, both for deployments that
@@ -322,11 +323,12 @@ impl StrictQueues {
 mod tests {
     use super::*;
     use crate::handle::CompletionSlot;
-    use crate::service::{JobSpec, SharedProblem};
+    use crate::registry::SolverRegistry;
+    use crate::service::{JobSpec, ServiceConfig, Shared, SharedProblem, SolverService};
     use crate::submit::SessionCore;
     use qdm_core::problem::{Decoded, DmProblem};
     use qdm_qubo::model::QuboModel;
-    use std::sync::Arc;
+    use std::sync::{Arc, OnceLock};
 
     struct Dummy {
         n: usize,
@@ -351,10 +353,18 @@ mod tests {
         Arc::new(SessionCore::new(id, 1024, 1024))
     }
 
+    /// The shard every test job belongs to: built, never started.
+    fn owner() -> Arc<Shared> {
+        static OWNER: OnceLock<Arc<Shared>> = OnceLock::new();
+        let build = || SolverService::build(SolverRegistry::standard(), ServiceConfig::default());
+        Arc::clone(OWNER.get_or_init(build))
+    }
+
     fn job(id: u64, session: &Arc<SessionCore>, priority: JobPriority, n_vars: usize) -> QueuedJob {
         let problem: SharedProblem = Arc::new(Dummy { n: n_vars });
         QueuedJob {
             id,
+            owner: owner(),
             cost: n_vars.max(1) as u64,
             queued_ns: 0,
             spec: JobSpec::new(problem, id).with_priority(priority),

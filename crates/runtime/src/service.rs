@@ -58,8 +58,8 @@ use qdm_qubo::model::QuboModel;
 use qdm_qubo::probe::{StageProbe, TeeProbe};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -292,8 +292,14 @@ impl RouteInfo {
 /// A job sitting in the service queue, waiting for a worker.
 pub(crate) struct QueuedJob {
     pub(crate) id: u64,
-    /// Deficit-round-robin cost: the problem's variable count (≥ 1), spent
-    /// from the owning session's per-lane scheduling credit when served.
+    /// The shard that admitted the job. It serves the job wherever the job
+    /// runs — cache, single-flight, portfolio, breakers, journal, trace,
+    /// and ledger — so moving a queued job between shards (a peer's idle
+    /// pull, migration, failover) lends only a worker, never ownership.
+    pub(crate) owner: Arc<Shared>,
+    /// Deficit-round-robin cost: the job's predicted microseconds of
+    /// backend time (≥ 1), spent from the owning session's per-lane
+    /// scheduling credit when served.
     pub(crate) cost: u64,
     /// Enqueue timestamp, nanoseconds since the service epoch: the start of
     /// the job's `queued` trace span and of its caller-observed serve
@@ -408,6 +414,19 @@ pub(crate) struct Shared {
     /// off the scheduler queue so they cost no scheduling credit and the
     /// workers stay free for runnable work.
     pub(crate) delayed: Mutex<Vec<DelayedJob>>,
+    /// The other shards of this service's cluster, in shard order, held
+    /// weakly so no shard keeps another alive. Set once by the cluster
+    /// before any worker starts; unset for a standalone service (or a
+    /// one-shard cluster), whose workers never look past their own queue.
+    pub(crate) peers: OnceLock<Vec<Weak<Shared>>>,
+    /// Workers of this shard that found every queue empty and are about to
+    /// wait, or waiting, on [`Self::job_ready`]. Raised and lowered by
+    /// `next_job`; peers read it in [`Self::push`] to decide whom to kick.
+    idle_workers: AtomicUsize,
+    /// Bumped under this shard's queue lock each time a peer's
+    /// [`Self::push`] kicks its idle workers, so a worker still scanning
+    /// the peers when the kick lands sees it before it waits.
+    kicks: AtomicU64,
 }
 
 impl Shared {
@@ -419,6 +438,24 @@ impl Shared {
     /// forever.
     pub(crate) fn begin_shutdown(&self, _queue: &MutexGuard<'_, JobScheduler>) {
         self.shutting_down.store(true, Ordering::SeqCst);
+    }
+
+    /// Queues `job` and wakes a worker for it: one of this shard's own and,
+    /// inside a cluster, one idle worker of each peer, any of which may run
+    /// it for its owner. An idle peer worker raises its idle count before
+    /// it scans this queue, so a zero read here means its scan has yet to
+    /// lock this queue and will find the job itself; a nonzero read kicks
+    /// it under its own queue lock, which it re-checks before waiting.
+    pub(crate) fn push(&self, job: QueuedJob) {
+        self.queue.lock_unpoisoned().push(job);
+        self.job_ready.notify_one();
+        for peer in self.peers.get().into_iter().flatten().filter_map(Weak::upgrade) {
+            if peer.idle_workers.load(Ordering::SeqCst) > 0 {
+                let _queue = peer.queue.lock_unpoisoned();
+                peer.kicks.fetch_add(1, Ordering::SeqCst);
+                peer.job_ready.notify_one();
+            }
+        }
     }
 
     /// Nanoseconds since the service epoch (monotonic).
@@ -614,6 +651,13 @@ impl SolverService {
 
     /// Starts a service over a custom registry.
     pub fn with_registry(registry: SolverRegistry, config: ServiceConfig) -> Self {
+        let workers = config.workers;
+        Self::start(Self::build(registry, config), workers)
+    }
+
+    /// Builds a service's shared state without starting its workers, so a
+    /// cluster can wire its shards together first.
+    pub(crate) fn build(registry: SolverRegistry, config: ServiceConfig) -> Arc<Shared> {
         let n_backends = registry.len();
         let (sink, ring): (Option<Arc<dyn TraceSink>>, Option<Arc<TraceRing>>) =
             match config.tracing {
@@ -628,7 +672,7 @@ impl SolverService {
                 }
                 TraceConfig::Custom(sink) => (Some(sink), None),
             };
-        let shared = Arc::new(Shared {
+        Arc::new(Shared {
             registry,
             cache: ResultCache::new(config.cache_capacity),
             inflight: FlightTable::new(),
@@ -649,8 +693,15 @@ impl SolverService {
             clock: config.clock.unwrap_or_else(|| Arc::new(MonotonicClock::new())),
             journal: config.journal,
             delayed: Mutex::new(Vec::new()),
-        });
-        let workers = (0..config.workers.max(1))
+            peers: OnceLock::new(),
+            idle_workers: AtomicUsize::new(0),
+            kicks: AtomicU64::new(0),
+        })
+    }
+
+    /// Starts `workers` (at least one) worker threads over `shared`.
+    pub(crate) fn start(shared: Arc<Shared>, workers: usize) -> Self {
+        let workers = (0..workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -870,12 +921,13 @@ fn worker_loop(shared: &Shared) {
 
 /// Claims the next runnable job. A parked retry whose backoff has elapsed
 /// on the service clock takes precedence (it was dequeued long ago and owes
-/// the caller a resolution), then the scheduler queue. Blocks under the
-/// condvar when both are empty; while not-yet-due parked jobs exist the
-/// wait is sliced so their due times are re-checked without busy-spinning.
-/// Returns `None` at shutdown — after handing out any still-parked jobs,
-/// backoff forfeited, so graceful teardown resolves them instead of
-/// stranding their handles.
+/// the caller a resolution), then the scheduler queue, then — inside a
+/// cluster — the deepest peer's queue, so a shard's worker never sleeps
+/// while a peer holds queued work. Blocks under the condvar when all are
+/// empty; while not-yet-due parked jobs exist the wait is sliced so their
+/// due times are re-checked without busy-spinning. Returns `None` at
+/// shutdown — after handing out any still-parked jobs, backoff forfeited,
+/// so graceful teardown resolves them instead of stranding their handles.
 fn next_job(shared: &Shared) -> Option<QueuedJob> {
     loop {
         let now_micros = shared.clock.now_micros();
@@ -886,40 +938,91 @@ fn next_job(shared: &Shared) -> Option<QueuedJob> {
             }
         }
         let mut queue = shared.queue.lock_unpoisoned();
-        loop {
-            if let Some(job) = queue.pop() {
+        if let Some(job) = queue.pop() {
+            shared.metrics.on_dequeue();
+            return Some(job);
+        }
+        if shared.shutting_down.load(Ordering::SeqCst) {
+            drop(queue);
+            return shared.delayed.lock_unpoisoned().pop().map(|d| d.job);
+        }
+        let peers = shared.peers.get();
+        if let Some(peers) = peers {
+            // Count this worker idle *before* scanning the peers, under
+            // this queue's lock, and keep it counted through the wait: a
+            // peer enqueue the scan misses then sees the count and kicks
+            // (see `Shared::push`), so the kick is either observed below
+            // or wakes the wait.
+            shared.idle_workers.fetch_add(1, Ordering::SeqCst);
+            let kicks = shared.kicks.load(Ordering::SeqCst);
+            drop(queue);
+            if let Some(job) = pull_from_peers(peers) {
+                shared.idle_workers.fetch_sub(1, Ordering::SeqCst);
                 return Some(job);
             }
-            if shared.shutting_down.load(Ordering::SeqCst) {
-                drop(queue);
-                return shared.delayed.lock_unpoisoned().pop().map(|d| d.job);
+            queue = shared.queue.lock_unpoisoned();
+            let own = queue.pop();
+            if own.is_some()
+                || shared.shutting_down.load(Ordering::SeqCst)
+                || shared.kicks.load(Ordering::SeqCst) != kicks
+            {
+                shared.idle_workers.fetch_sub(1, Ordering::SeqCst);
+                if own.is_some() {
+                    shared.metrics.on_dequeue();
+                    return own;
+                }
+                continue;
             }
-            if shared.delayed.lock_unpoisoned().is_empty() {
-                queue = shared.job_ready.wait_unpoisoned(queue);
-            } else {
-                // A parked job may come due before anything is enqueued;
-                // wake on a bounded slice and re-check its clock.
-                let (guard, _) = shared
-                    .job_ready
-                    .wait_timeout(queue, Duration::from_millis(1))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                drop(guard);
-                break;
-            }
+        }
+        let woken = if shared.delayed.lock_unpoisoned().is_empty() {
+            shared.job_ready.wait_unpoisoned(queue)
+        } else {
+            // A parked job may come due before anything is enqueued;
+            // wake on a bounded slice and re-check its clock.
+            shared
+                .job_ready
+                .wait_timeout(queue, Duration::from_millis(1))
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .0
+        };
+        drop(woken);
+        if peers.is_some() {
+            shared.idle_workers.fetch_sub(1, Ordering::SeqCst);
         }
     }
 }
 
-/// Runs one claimed job to resolution — or parks it back into
-/// [`Shared::delayed`] when a retryable failure earns a non-zero backoff.
-fn run_job(shared: &Shared, mut job: QueuedJob) {
+/// Pops a job for an idle worker from the deepest peer queue. Peers are
+/// ranked by their queue-depth gauges, deepest first with ties to the
+/// lowest shard index, and locked one at a time — never two queue locks at
+/// once — so a gauge that lags its queue costs only a wasted probe. The
+/// queue the job left counts the dequeue; the job keeps its owner.
+fn pull_from_peers(peers: &[Weak<Shared>]) -> Option<QueuedJob> {
+    let mut ranked: Vec<Arc<Shared>> = peers.iter().filter_map(Weak::upgrade).collect();
+    ranked.sort_by_cached_key(|peer| std::cmp::Reverse(peer.metrics.queue_depth()));
+    ranked.into_iter().find_map(|peer| {
+        let job = peer.queue.lock_unpoisoned().pop()?;
+        peer.metrics.on_dequeue();
+        Some(job)
+    })
+}
+
+/// Runs one claimed job on `host`'s worker to resolution — or parks it
+/// into the host's [`Shared::delayed`] when a retryable failure earns a
+/// non-zero backoff. Everything else is the job's owner's: the shard that
+/// admitted the job serves it here, whichever shard's worker this is.
+fn run_job(host: &Shared, mut job: QueuedJob) {
+    let owner = Arc::clone(&job.owner);
+    let shared = &*owner;
     let resumed = job.retry.take();
     if resumed.is_none() {
         // The job left the queue: free its session's backpressure slot so
         // blocked submitters make progress while this worker solves. (A
         // resumed park already freed it at its first pickup.)
-        shared.metrics.on_dequeue();
         job.session.on_dequeue();
+        if !std::ptr::eq(shared, host) {
+            host.metrics.on_run_for_peer();
+        }
     }
     // The trace is assembled worker-locally — the shared sink is only
     // touched once, at the end — so tracing costs the solve path
@@ -1012,19 +1115,19 @@ fn run_job(shared: &Shared, mut job: QueuedJob) {
                 continue;
             }
             // A real backoff parks the job instead of sleeping through
-            // it: the job rejoins the workers once the backoff elapses
-            // on the service clock, and this worker is immediately free
-            // for other queued work. The Retry span is pushed at
-            // resume, covering the whole park.
-            let not_before_micros = shared
+            // it: the job rejoins the host's workers once the backoff
+            // elapses on the service clock, and this worker is
+            // immediately free for other queued work. The Retry span is
+            // pushed at resume, covering the whole park.
+            let not_before_micros = host
                 .clock
                 .now_micros()
                 .saturating_add(backoff.as_micros().min(u128::from(u64::MAX)) as u64);
             job.retry = Some(Box::new(RetryState { attempt, ctx, trace, backoff_start_ns }));
-            shared.delayed.lock_unpoisoned().push(DelayedJob { not_before_micros, job });
+            host.delayed.lock_unpoisoned().push(DelayedJob { not_before_micros, job });
             // Move indefinitely-blocked waiters into the sliced wait
             // that re-checks parked due times.
-            shared.job_ready.notify_all();
+            host.job_ready.notify_all();
             return;
         }
         if retryable && shared.retry.max_retries > 0 {

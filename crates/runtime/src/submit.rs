@@ -393,21 +393,18 @@ pub(crate) fn enqueue_reserved(
     // seconds, not jobs or variable counts. Floored at one microsecond so
     // even a trivially cheap job charges something.
     let cost = (shared.predicted_seconds(&spec) * 1e6).clamp(1.0, u64::MAX as f64) as u64;
-    {
-        let mut queue = shared.queue.lock_unpoisoned();
-        queue.push(QueuedJob {
-            id,
-            cost,
-            queued_ns: shared.now_ns(),
-            spec,
-            slot: Arc::clone(&slot),
-            session: Arc::clone(core),
-            route,
-            retry: None,
-            recovered,
-        });
-    }
-    shared.job_ready.notify_one();
+    shared.push(QueuedJob {
+        id,
+        owner: Arc::clone(shared),
+        cost,
+        queued_ns: shared.now_ns(),
+        spec,
+        slot: Arc::clone(&slot),
+        session: Arc::clone(core),
+        route,
+        retry: None,
+        recovered,
+    });
     JobHandle::new(id, slot, Arc::clone(shared), Arc::clone(core))
 }
 

@@ -1,6 +1,9 @@
 //! Integration tests for the sharded cluster front-end: shard-count
 //! invariance of results, token-bucket shedding with a manual clock (no
-//! sleeps), and cross-shard migration that never loses or duplicates a job.
+//! sleeps), cross-shard migration that never loses or duplicates a job,
+//! idle shards that run a wedged peer's queue, and the ownership rule
+//! behind both: a moved job is still served, journaled, cached, and
+//! counted by the shard that admitted it.
 
 use qdm::prelude::*;
 use qdm::qubo::model::QuboModel;
@@ -8,8 +11,9 @@ use qdm::qubo::penalty;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn mqo(seed: u64) -> Arc<MqoProblem> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -146,10 +150,29 @@ struct GatedPick {
 #[derive(Default)]
 struct Gate {
     release: (Mutex<bool>, Condvar),
+    /// Decodes that reached the gate, open or not.
+    arrivals: AtomicUsize,
 }
 
 impl Gate {
+    fn opened() -> Arc<Self> {
+        let gate = Arc::new(Self::default());
+        gate.open();
+        gate
+    }
+
+    /// Waits until `n` decodes have reached the gate, failing the test
+    /// after 30 s instead of hanging it.
+    fn await_arrivals(&self, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while self.arrivals.load(Ordering::SeqCst) < n {
+            assert!(Instant::now() < deadline, "only {:?} of {n} decodes arrived", self.arrivals);
+            std::thread::yield_now();
+        }
+    }
+
     fn block(&self) {
+        self.arrivals.fetch_add(1, Ordering::SeqCst);
         let (lock, cond) = &self.release;
         let mut open = lock.lock().unwrap();
         while !*open {
@@ -161,6 +184,17 @@ impl Gate {
         let (lock, cond) = &self.release;
         *lock.lock().unwrap() = true;
         cond.notify_all();
+    }
+}
+
+/// Opens its gate when dropped. Declared after the cluster, it drops first,
+/// so a failed assertion unwinds through the cluster's teardown instead of
+/// hanging on a worker still parked in the gate.
+struct OpenOnDrop(Arc<Gate>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.open();
     }
 }
 
@@ -193,16 +227,67 @@ impl DmProblem for GatedPick {
     }
 }
 
+fn gated(costs: &[f64], gate: &Arc<Gate>) -> Arc<GatedPick> {
+    Arc::new(GatedPick { costs: costs.to_vec(), gate: Arc::clone(gate) })
+}
+
+/// The costs every single-fingerprint backlog below is built from.
+const BACKLOG_COSTS: [f64; 4] = [2.5, 0.5, 1.5, 3.5];
+
+fn one_journal_per_shard(shards: usize) -> Vec<Arc<MemoryJournal>> {
+    (0..shards).map(|_| Arc::new(MemoryJournal::new())).collect()
+}
+
+fn as_journals(journals: &[Arc<MemoryJournal>]) -> Vec<Arc<dyn Journal>> {
+    journals.iter().map(|j| Arc::clone(j) as Arc<dyn Journal>).collect()
+}
+
+/// Every shard's own ledger balances: a job counts on the shard that
+/// admitted it, wherever it ran.
+fn assert_each_shard_balances(per_shard: &[RuntimeReport]) {
+    for report in per_shard {
+        assert_eq!(
+            report.jobs_submitted,
+            report.jobs_completed + report.jobs_failed + report.jobs_cancelled,
+            "shard ledger out of balance: {report}"
+        );
+        assert_eq!(report.queue_depth, 0, "nothing left queued: {report}");
+    }
+}
+
+fn journaled_id(event: &JournalEvent) -> u64 {
+    match event {
+        JournalEvent::Submitted(record) => record.job_id,
+        JournalEvent::Completed { job_id, .. } | JournalEvent::Cancelled { job_id } => *job_id,
+    }
+}
+
+/// Polls `handle` until it resolves, failing the test after `limit`
+/// instead of hanging it.
+fn wait_within(handle: &JobHandle, limit: Duration) -> JobOutcome {
+    let start = Instant::now();
+    loop {
+        if let Some(outcome) = handle.try_result() {
+            return outcome;
+        }
+        assert!(start.elapsed() < limit, "job {} unresolved after {limit:?}", handle.id());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn migration_never_loses_or_duplicates_a_job() {
     const JOBS: u64 = 8;
+    let journals = one_journal_per_shard(2);
     let cluster = ClusterService::new(ClusterConfig {
         shards: 2,
         service: ServiceConfig { workers: 1, cache_capacity: 16, ..Default::default() },
         migration_threshold: Some(0),
+        journals: Some(as_journals(&journals)),
         ..Default::default()
     });
     let gate = Arc::new(Gate::default());
+    let _unwedge = OpenOnDrop(Arc::clone(&gate));
     let session = cluster.session("t", SessionConfig { queue_capacity: 32, ..Default::default() });
 
     // Every job shares one canonical fingerprint, so all of them route to
@@ -210,17 +295,17 @@ fn migration_never_loses_or_duplicates_a_job() {
     // a guaranteed backlog. With a migration threshold of 0, the submit
     // path must rebalance that backlog onto the idle shard.
     let handles: Vec<JobHandle> = (0..JOBS)
-        .map(|seed| {
-            let problem =
-                Arc::new(GatedPick { costs: vec![2.5, 0.5, 1.5, 3.5], gate: Arc::clone(&gate) });
-            session.submit(JobSpec::new(problem, seed)).expect("admitted")
-        })
+        .map(|seed| session.submit(JobSpec::new(gated(&BACKLOG_COSTS, &gate), seed)).unwrap())
         .collect();
+    // Hold the gate until both shards' workers are parked in it, so each
+    // shard has run part of the backlog before either can drain the rest.
+    gate.await_arrivals(2);
 
     gate.open();
     for handle in &handles {
         assert!(handle.wait().is_ok(), "a migrated job must still resolve its handle");
     }
+    session.drain();
     let ids: HashSet<u64> = session.completions().map(|c| c.id).collect();
     assert_eq!(ids.len(), JOBS as usize, "every job completes exactly once");
 
@@ -231,16 +316,145 @@ fn migration_never_loses_or_duplicates_a_job() {
     assert_eq!(merged.jobs_failed, 0);
     assert_eq!(merged.jobs_cancelled, 0);
 
-    // Migration moves a job's execution, not its ledger entry: the donor
-    // counted the submit, the recipient counts the completion, so only the
-    // *merged* ledger balances — and completions spread across both shards.
+    // Migration moves a job's execution, never its ledger entry: the home
+    // shard admitted every job and counts every completion, and each
+    // shard's own ledger and journal balance. Both shards ran part of the
+    // backlog — the home worker its first job, the other shard the jobs
+    // it ran for its peer.
+    let home =
+        cluster.shard_for_fingerprint(gated(&BACKLOG_COSTS, &gate).to_qubo().canonical_form().0);
     let per_shard = cluster.shard_reports();
-    assert_eq!(per_shard.iter().map(|r| r.jobs_submitted).sum::<u64>(), JOBS);
-    assert_eq!(per_shard.iter().map(|r| r.jobs_completed).sum::<u64>(), JOBS);
+    assert_each_shard_balances(&per_shard);
+    assert_eq!(per_shard[home].jobs_submitted, JOBS);
+    assert_eq!(per_shard[home].jobs_completed, JOBS);
+    assert_eq!(per_shard[home].jobs_run_for_peers, 0, "home runs only its own jobs");
+    let lent = per_shard[1 - home].jobs_run_for_peers;
     assert!(
-        per_shard.iter().all(|r| r.jobs_completed >= 1),
+        (1..JOBS).contains(&lent),
         "both shards should execute part of the backlog: {per_shard:?}"
     );
+    for journal in &journals {
+        assert!(unfinished(&journal.events()).is_empty(), "every journal is complete");
+    }
+}
+
+#[test]
+fn a_moved_job_finishes_in_the_journal_that_recorded_it() {
+    // Regression: a migrated job used to write `Completed` into the
+    // recipient's journal, so its home journal kept it unfinished forever
+    // and a cluster rebuilt over the journals replayed delivered work.
+    const JOBS: u64 = 8;
+    let journals = one_journal_per_shard(2);
+    let config = || ClusterConfig {
+        shards: 2,
+        service: ServiceConfig { workers: 1, cache_capacity: 16, ..Default::default() },
+        migration_threshold: Some(0),
+        journals: Some(as_journals(&journals)),
+        ..Default::default()
+    };
+    let gate = Arc::new(Gate::default());
+    {
+        let cluster = ClusterService::new(config());
+        let session =
+            cluster.session("t", SessionConfig { queue_capacity: 32, ..Default::default() });
+        let handles: Vec<JobHandle> = (0..JOBS)
+            .map(|seed| session.submit(JobSpec::new(gated(&BACKLOG_COSTS, &gate), seed)).unwrap())
+            .collect();
+        gate.open();
+        for handle in &handles {
+            assert!(handle.wait().is_ok());
+        }
+        // The terminal record is appended after the handle resolves;
+        // draining the session waits for it.
+        session.drain();
+    }
+    for (shard, journal) in journals.iter().enumerate() {
+        let open = unfinished(&journal.events());
+        assert!(open.is_empty(), "shard {shard} journal still owes {} delivered jobs", open.len());
+    }
+    let rebuilt = ClusterService::new(config());
+    assert!(rebuilt.recover().is_empty(), "a rebuilt cluster must replay nothing delivered");
+}
+
+#[test]
+fn an_idle_shard_runs_a_wedged_peers_queue_for_its_owner() {
+    // No migration: only the idle pull can move work between shards.
+    let journals = one_journal_per_shard(2);
+    let cluster = ClusterService::new(ClusterConfig {
+        shards: 2,
+        service: ServiceConfig { workers: 1, cache_capacity: 16, ..Default::default() },
+        journals: Some(as_journals(&journals)),
+        ..Default::default()
+    });
+    let shard_of = |costs: &[f64]| {
+        cluster.shard_for_fingerprint(gated(costs, &Gate::opened()).to_qubo().canonical_form().0)
+    };
+    // Two instances whose fingerprints route to different shards.
+    let family = |k: usize| {
+        let mut costs = BACKLOG_COSTS.to_vec();
+        costs[3] += k as f64;
+        costs
+    };
+    let other = (1..).map(family).find(|c| shard_of(c) != shard_of(&BACKLOG_COSTS)).unwrap();
+    let session = cluster.session("t", SessionConfig { queue_capacity: 16, ..Default::default() });
+
+    // Wedge one worker in decode. Whichever shard's worker claimed the
+    // job, the follow-up jobs go to *that* shard, whose only worker is
+    // stuck: only the other shard's worker can run them.
+    let gate = Arc::new(Gate::default());
+    let _unwedge = OpenOnDrop(Arc::clone(&gate));
+    let wedged_job = session.submit(JobSpec::new(gated(&BACKLOG_COSTS, &gate), 0)).unwrap();
+    gate.await_arrivals(1);
+    let home = shard_of(&BACKLOG_COSTS);
+    let pulled_first = cluster.shard_reports()[1 - home].jobs_run_for_peers == 1;
+    let (wedged, costs) = if pulled_first { (1 - home, other) } else { (home, family(0)) };
+    assert_eq!(shard_of(&costs), wedged);
+    let free = 1 - wedged;
+
+    let open = Gate::opened();
+    let spec = |seed| JobSpec::new(gated(&costs, &open), seed).on_backend("exact");
+    let handles: Vec<JobHandle> = (1..=4).map(|seed| session.submit(spec(seed)).unwrap()).collect();
+    let firsts: Vec<JobResult> = handles
+        .iter()
+        .map(|h| wait_within(h, Duration::from_secs(30)).expect("the free shard runs it"))
+        .collect();
+    assert_eq!(gate.arrivals.load(Ordering::SeqCst), 1, "the gate is still closed");
+
+    // The free shard lent its worker; the wedged shard owns the jobs.
+    let per_shard = cluster.shard_reports();
+    assert_eq!(per_shard[free].jobs_run_for_peers, 4, "{per_shard:?}");
+    assert_eq!(per_shard[free].jobs_completed, 0, "{per_shard:?}");
+    assert_eq!(per_shard[wedged].jobs_completed, 4, "{per_shard:?}");
+    assert_eq!(per_shard[wedged].cache_misses, 4, "{per_shard:?}");
+    let open_ids: HashSet<u64> =
+        unfinished(&journals[wedged].events()).iter().map(|r| r.job_id).collect();
+    assert!(
+        handles.iter().all(|h| !open_ids.contains(&h.id())),
+        "completed in the owner's journal"
+    );
+    let lent_ids: HashSet<u64> = handles.iter().map(JobHandle::id).collect();
+    assert!(
+        journals[free].events().iter().all(|event| !lent_ids.contains(&journaled_id(event))),
+        "the free shard journals nothing of the jobs it ran for its peer"
+    );
+
+    // The results were cached at the owner, where resubmissions route.
+    let again = session.submit(spec(1)).unwrap();
+    let again = wait_within(&again, Duration::from_secs(30)).expect("served");
+    assert!(again.from_cache, "an exact resubmission is a cache hit at home");
+    assert_eq!(again.report.bits, firsts[0].report.bits);
+    let per_shard = cluster.shard_reports();
+    assert_eq!(per_shard[wedged].cache_hits, 1);
+    assert_eq!(per_shard[free].cache_hits, 0);
+
+    gate.open();
+    assert!(wedged_job.wait().is_ok());
+    session.drain();
+    let per_shard = cluster.shard_reports();
+    assert_each_shard_balances(&per_shard);
+    for journal in &journals {
+        assert!(unfinished(&journal.events()).is_empty());
+    }
 }
 
 #[test]

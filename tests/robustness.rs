@@ -405,6 +405,17 @@ impl Release {
     }
 }
 
+/// Opens its latch when dropped. Declared after the cluster, it drops
+/// first, so a failed assertion unwinds through the cluster's teardown
+/// instead of hanging on a worker still parked in the latch.
+struct OpenOnDrop(Arc<Release>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.open();
+    }
+}
+
 /// Pick-one problem with a rendezvous in `to_qubo` (forces overlap) and a
 /// release latch in `decode` (keeps the leader from finishing early).
 struct GatedPick {
@@ -566,13 +577,17 @@ impl DmProblem for ParkedPick {
 fn killing_a_shard_mid_run_drains_its_queue_and_loses_no_job() {
     const SHARDS: usize = 4;
     let flags = HealthFlags::all_healthy(SHARDS);
+    let journals: Vec<Arc<MemoryJournal>> =
+        (0..SHARDS).map(|_| Arc::new(MemoryJournal::new())).collect();
     let cluster = ClusterService::new(ClusterConfig {
         shards: SHARDS,
         service: ServiceConfig { workers: 1, cache_capacity: 16, ..Default::default() },
         health_probe: Some(Arc::clone(&flags) as Arc<dyn HealthProbe>),
+        journals: Some(journals.iter().map(|j| Arc::clone(j) as Arc<dyn Journal>).collect()),
         ..Default::default()
     });
     let release = Arc::new(Release::default());
+    let _unwedge = OpenOnDrop(Arc::clone(&release));
     let arrivals = Arc::new(AtomicUsize::new(0));
     let job = |seed: u64| {
         let problem: SharedProblem = Arc::new(ParkedPick {
@@ -589,13 +604,17 @@ fn killing_a_shard_mid_run_drains_its_queue_and_loses_no_job() {
     };
     let session = cluster.session("t", SessionConfig { queue_capacity: 16, ..Default::default() });
 
-    // Job 0 wedges the home shard's only worker in decode; jobs 1..=5
-    // pile up in its queue with nobody to run them.
-    let mut handles = vec![session.submit(job(0)).expect("admitted")];
-    while arrivals.load(Ordering::SeqCst) == 0 {
+    // Jobs 0..=3 wedge every worker in decode — the home shard's own and,
+    // through the idle pull, each peer's — so jobs 4..=8 pile up in the
+    // home queue with nobody free to run them.
+    let mut handles: Vec<JobHandle> =
+        (0..SHARDS as u64).map(|seed| session.submit(job(seed)).expect("admitted")).collect();
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while arrivals.load(Ordering::SeqCst) < SHARDS {
+        assert!(std::time::Instant::now() < deadline, "an idle worker never ran a job");
         std::thread::yield_now();
     }
-    for seed in 1..=5 {
+    for seed in 4..=8 {
         handles.push(session.submit(job(seed)).expect("admitted"));
     }
 
@@ -605,7 +624,7 @@ fn killing_a_shard_mid_run_drains_its_queue_and_loses_no_job() {
     cluster.failover_drain();
     // A fresh submission while the home shard is dead re-routes on the
     // ring and counts a failover on its recipient.
-    handles.push(session.submit(job(6)).expect("rerouted"));
+    handles.push(session.submit(job(9)).expect("rerouted"));
 
     release.open();
     for handle in &handles {
@@ -622,10 +641,21 @@ fn killing_a_shard_mid_run_drains_its_queue_and_loses_no_job() {
     assert!(merged.failovers >= 6, "5 drained + 1 rerouted: {merged}");
     assert!(merged.migrations >= 5, "drained jobs ride the migration ledger: {merged}");
     assert_balanced(&merged);
-    // The wedged job itself completed on the (now dead) home shard; every
-    // drained job completed elsewhere.
+    // Draining moved where the jobs ran, not who owns them: the home shard
+    // admitted jobs 0..=8 and counts all of them, each shard's ledger and
+    // journal balance, and the three jobs that wedged the peers ran there
+    // for the home shard.
     let per_shard = cluster.shard_reports();
-    assert_eq!(per_shard[home].jobs_completed, 1, "only the already-claimed job ran at home");
+    assert_eq!(per_shard[home].jobs_submitted, 9, "{per_shard:?}");
+    assert_eq!(per_shard[home].jobs_completed, 9, "{per_shard:?}");
+    for report in &per_shard {
+        assert_balanced(report);
+    }
+    let lent: u64 = per_shard.iter().map(|r| r.jobs_run_for_peers).sum();
+    assert!(lent >= 3, "the wedged peers ran jobs for the home shard: {per_shard:?}");
+    for journal in &journals {
+        assert!(unfinished(&journal.events()).is_empty(), "each shard's journal is complete");
+    }
 }
 
 #[test]
@@ -687,36 +717,59 @@ fn results_with_a_dead_shard_are_bit_identical_to_a_healthy_cluster() {
 // Teardown: dropping a service must never hang on its workers.
 // ---------------------------------------------------------------------------
 
+/// Runs `cycle(0..cycles)` on its own thread, failing the test if any one
+/// cycle takes more than ten seconds — a hung teardown `join` fails
+/// instead of stalling the suite.
+fn cycles_never_hang(cycles: u64, cycle: impl Fn(u64) + Send + 'static) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let cycler = std::thread::spawn(move || {
+        for i in 0..cycles {
+            cycle(i);
+            if tx.send(i).is_err() {
+                return;
+            }
+        }
+    });
+    for i in 0..cycles {
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(done) => assert_eq!(done, i),
+            // The cycling thread panicked; joining it below re-raises that.
+            Err(RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("cycle {i}: teardown did not finish within 10 s")
+            }
+        }
+    }
+    cycler.join().expect("every create/submit/drop cycle succeeds");
+}
+
 #[test]
 fn create_submit_drop_cycles_never_hang_teardown() {
     // Each cycle drops a two-worker service right after its only job
     // resolves, while the solving worker is on its way back into the
     // queue wait — the window a shutdown notify can slip through if the
-    // flag is raised outside the queue lock. The cycles run on their own
-    // thread so a hung `join` fails the test instead of stalling it.
-    const CYCLES: u64 = 2_000;
-    let (tx, rx) = std::sync::mpsc::channel();
-    let cycler = std::thread::spawn(move || {
-        for cycle in 0..CYCLES {
-            let service =
-                SolverService::new(ServiceConfig { workers: 2, ..ServiceConfig::default() });
-            let outcome = service.run(JobSpec::new(pick(3), cycle).on_backend("exact"));
-            assert!(outcome.is_ok(), "cycle {cycle}: {outcome:?}");
-            drop(service);
-            if tx.send(cycle).is_err() {
-                return;
-            }
-        }
+    // flag is raised outside the queue lock.
+    cycles_never_hang(2_000, |cycle| {
+        let service = SolverService::new(ServiceConfig { workers: 2, ..ServiceConfig::default() });
+        let outcome = service.run(JobSpec::new(pick(3), cycle).on_backend("exact"));
+        assert!(outcome.is_ok(), "cycle {cycle}: {outcome:?}");
     });
-    for cycle in 0..CYCLES {
-        match rx.recv_timeout(Duration::from_secs(10)) {
-            Ok(done) => assert_eq!(done, cycle),
-            // The cycling thread panicked; joining it below re-raises that.
-            Err(RecvTimeoutError::Disconnected) => break,
-            Err(RecvTimeoutError::Timeout) => {
-                panic!("cycle {cycle}: service teardown did not finish within 10 s")
-            }
-        }
-    }
-    cycler.join().expect("every create/submit/drop cycle succeeds");
+}
+
+#[test]
+fn cluster_create_submit_drop_cycles_never_hang_teardown() {
+    // The same window across shards: each shard's worker may be scanning
+    // or pulling from its peer's queue when the cluster drops, and every
+    // shard must still join.
+    cycles_never_hang(2_000, |cycle| {
+        let cluster = ClusterService::new(ClusterConfig {
+            shards: 2,
+            service: ServiceConfig { workers: 1, cache_capacity: 16, ..Default::default() },
+            ..Default::default()
+        });
+        let session = cluster.session("t", SessionConfig::default());
+        let handle = session.submit(JobSpec::new(pick(3), cycle).on_backend("exact"));
+        let outcome = handle.expect("admitted").wait();
+        assert!(outcome.is_ok(), "cycle {cycle}: {outcome:?}");
+    });
 }
