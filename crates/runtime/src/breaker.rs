@@ -8,7 +8,7 @@
 //! degrades to the remaining portfolio instead of burning retries on a
 //! dead executor — never to zero, though: when every eligible backend is
 //! open, the best-ranked one stays eligible (see
-//! [`crate::portfolio::PortfolioScheduler::rank_filtered`]). After
+//! [`crate::portfolio::PortfolioScheduler::rank_costed`]). After
 //! [`BreakerConfig::cooldown`] on the injectable [`Clock`], the next
 //! ranking moves the breaker to `HalfOpen`: probe traffic is allowed
 //! through, one success re-closes the breaker, one failure re-opens it
@@ -28,7 +28,7 @@
 //! degraded backend as *more expensive* rather than invisible.
 
 use crate::cluster::{Clock, MonotonicClock};
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics};
 use crate::sync::LockExt;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -115,7 +115,7 @@ impl CircuitBreakers {
         };
         if trip {
             b.state = BreakerState::Open { since_micros: self.clock.now_micros() };
-            metrics.on_breaker_opened();
+            metrics.inc(Counter::BreakerOpened);
         }
     }
 
@@ -127,7 +127,7 @@ impl CircuitBreakers {
         b.consecutive_failures = 0;
         if b.state != BreakerState::Closed {
             b.state = BreakerState::Closed;
-            metrics.on_breaker_closed();
+            metrics.inc(Counter::BreakerClosed);
         }
     }
 
@@ -171,7 +171,7 @@ impl CircuitBreakers {
             BreakerState::Open { since_micros } => {
                 if self.clock.now_micros().saturating_sub(since_micros) >= self.cooldown_micros {
                     b.state = BreakerState::HalfOpen;
-                    metrics.on_breaker_half_opened();
+                    metrics.inc(Counter::BreakerHalfOpened);
                     false
                 } else {
                     true

@@ -66,7 +66,7 @@ pub use admission::{AdmissionConfig, DepthProbe, TokenBucketConfig};
 pub use clock::{Clock, ManualClock, MonotonicClock};
 
 use crate::handle::{Completion, JobHandle};
-use crate::metrics::RuntimeReport;
+use crate::metrics::{Counter, RuntimeReport};
 use crate::registry::SolverRegistry;
 use crate::service::{JobSpec, RouteInfo, ServiceConfig, Shared, SolverService};
 use crate::submit::{enqueue_reserved, Completions, SessionConfig, SessionCore, SubmitError};
@@ -302,7 +302,7 @@ impl ClusterService {
         }
         let shard = self.ring.shard_for_healthy(fingerprint, |s| self.healthy(s));
         if shard != primary {
-            self.shards[shard].shared.metrics.on_failover();
+            self.shards[shard].shared.metrics.inc(Counter::Failovers);
         }
         shard
     }
@@ -350,10 +350,10 @@ impl ClusterService {
                 };
                 let from = &self.shards[donor].shared;
                 let to = &self.shards[recipient].shared;
-                from.metrics.on_dequeue();
-                from.metrics.on_migrated();
+                from.metrics.dec(Counter::QueueDepth);
+                from.metrics.inc(Counter::Migrations);
                 to.metrics.on_enqueue();
-                to.metrics.on_failover();
+                to.metrics.inc(Counter::Failovers);
                 to.push(job);
             }
         }
@@ -403,7 +403,7 @@ impl ClusterService {
     fn depth(&self, shard: usize) -> usize {
         match &self.depth_probe {
             Some(probe) => probe.queue_depth(shard),
-            None => self.shards[shard].shared.metrics.queue_depth() as usize,
+            None => self.shards[shard].shared.metrics.get(Counter::QueueDepth) as usize,
         }
     }
 
@@ -468,8 +468,8 @@ impl ClusterService {
             let Some(job) = popped else { return };
             let from = &self.shards[donor].shared;
             let to = &self.shards[recipient].shared;
-            from.metrics.on_dequeue();
-            from.metrics.on_migrated();
+            from.metrics.dec(Counter::QueueDepth);
+            from.metrics.inc(Counter::Migrations);
             to.metrics.on_enqueue();
             to.push(job);
         }
@@ -577,7 +577,7 @@ impl ClusterSession<'_> {
             cost_seconds,
         ) {
             self.core.unreserve();
-            metrics.on_shed();
+            metrics.inc(Counter::JobsShed);
             return Err(SubmitError::Overloaded { retry_after_hint, spec });
         }
         let over_depth = self
@@ -590,13 +590,13 @@ impl ClusterSession<'_> {
             .is_some_and(|watermark| self.cluster.backlog_seconds(shard) >= watermark);
         if over_depth || over_backlog {
             self.core.unreserve();
-            metrics.on_shed();
+            metrics.inc(Counter::JobsShed);
             return Err(SubmitError::Overloaded {
                 retry_after_hint: self.cluster.shed_hint(shard),
                 spec,
             });
         }
-        metrics.on_admitted();
+        metrics.inc(Counter::JobsAdmitted);
         Ok(spec)
     }
 
@@ -624,7 +624,7 @@ impl ClusterSession<'_> {
         let (shard, route) = self.route(&spec);
         let shared = &self.cluster.shards[shard].shared;
         if !self.core.try_reserve() {
-            shared.metrics.on_backpressure_rejection();
+            shared.metrics.inc(Counter::BackpressureRejections);
             return Err(SubmitError::QueueFull(spec));
         }
         let spec = self.admit_reserved(shard, spec)?;

@@ -9,12 +9,12 @@
 //! finish order, through the session's [`crate::submit::Session::completions`]
 //! iterator as [`Completion`] records.
 
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics};
 use crate::service::{JobError, JobOutcome, Shared};
 use crate::submit::SessionCore;
 use crate::sync::{CondvarExt, LockExt};
 use crate::trace::TraceOutcome;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 
 /// One finished job as streamed by
 /// [`crate::submit::Session::completions`]: jobs appear in the order they
@@ -82,14 +82,12 @@ impl CompletionSlot {
     /// counted — completed for `Ok`, failed for any error other than
     /// `Cancelled` itself — the ledger is reconciled here, under the slot
     /// lock and **before** any waiter can observe the outcome: the cancel
-    /// call counted the job cancelled, so without the matching
-    /// [`Metrics::on_completion_converted_to_cancel`] /
-    /// [`Metrics::on_failure_converted_to_cancel`] one job would occupy two
-    /// ledger buckets.
+    /// call counted the job cancelled, so without taking the completed or
+    /// failed count back one job would occupy two ledger buckets.
     pub(crate) fn resolve(&self, outcome: JobOutcome, metrics: &Metrics) -> JobOutcome {
         let solved = outcome.is_ok();
-        // Every non-`Cancelled` error reaching a slot was counted by
-        // `on_failed` (routing, panic, or coalesced-failure path); a
+        // Every non-`Cancelled` error reaching a slot was counted in
+        // `jobs_failed` (routing, panic, or coalesced-failure path); a
         // queued-job cancel resolves with `Err(Cancelled)` and was never
         // counted failed.
         let counted_failed = matches!(&outcome, Err(err) if *err != JobError::Cancelled);
@@ -97,9 +95,9 @@ impl CompletionSlot {
         let delivered = if inner.cancelled { Err(JobError::Cancelled) } else { outcome };
         if inner.cancelled {
             if solved {
-                metrics.on_completion_converted_to_cancel();
+                metrics.dec(Counter::JobsCompleted);
             } else if counted_failed {
-                metrics.on_failure_converted_to_cancel();
+                metrics.dec(Counter::JobsFailed);
             }
         }
         inner.outcome = Some(delivered.clone());
@@ -211,19 +209,26 @@ impl JobHandle {
     /// finishes its solve and serves any followers — only its own handle
     /// reports [`JobError::Cancelled`].
     pub fn cancel(&self) -> CancelStatus {
-        let removed = {
-            let mut queue = self.shared.queue.lock_unpoisoned();
-            queue.remove(self.id)
+        // Migration and failover drain move queued jobs onto peer queues:
+        // search the owner's queue, then each live peer's. The queue the job
+        // left counts the dequeue; everything else below stays on the owner.
+        let take = |queue_owner: &Shared| {
+            let job = queue_owner.queue.lock_unpoisoned().remove(self.id)?;
+            queue_owner.metrics.dec(Counter::QueueDepth);
+            Some(job)
         };
+        let removed = take(&self.shared).or_else(|| {
+            let peers = self.shared.peers.get().into_iter().flatten();
+            peers.filter_map(Weak::upgrade).find_map(|peer| take(&peer))
+        });
         if let Some(job) = removed {
             // Claim the slot's cancel flag before resolving: racing cancels
             // on the same handle each see `Marked` at most once in total, so
             // `jobs_cancelled` counts one effective cancellation per job no
             // matter how many threads race here.
             if matches!(job.slot.mark_cancelled_if_pending(), MarkCancelled::Marked) {
-                self.shared.metrics.on_cancelled();
+                self.shared.metrics.inc(Counter::JobsCancelled);
             }
-            self.shared.metrics.on_dequeue();
             self.session.on_dequeue();
             // A queue-removed job never reaches a worker, so its trace is
             // recorded here: just the queue-wait span, outcome `cancelled`.
@@ -243,7 +248,7 @@ impl JobHandle {
         }
         match self.slot.mark_cancelled_if_pending() {
             MarkCancelled::Marked => {
-                self.shared.metrics.on_cancelled();
+                self.shared.metrics.inc(Counter::JobsCancelled);
                 CancelStatus::Running
             }
             MarkCancelled::AlreadyMarked => CancelStatus::Running,

@@ -136,7 +136,7 @@ pub mod prelude {
         unfinished, FileJournal, Journal, JournalEvent, JournaledProblem, MemoryJournal,
         SolutionSnapshot, SubmittedRecord,
     };
-    pub use crate::metrics::{Metrics, RuntimeReport};
+    pub use crate::metrics::{Counter, Metrics, RuntimeReport};
     pub use crate::portfolio::{BackendStats, PortfolioScheduler};
     pub use crate::registry::{RegisteredSolver, SolverRegistry, SolverSpec};
     pub use crate::scheduler::{SchedulerPolicy, AGE_AFTER_POPS, DRR_QUANTUM};

@@ -47,40 +47,109 @@ pub fn histogram_quantile(histogram: &[u64; LATENCY_BUCKETS], q: f64) -> Option<
     unreachable!("rank <= total, so the scan always lands in a bucket")
 }
 
+/// Maps a counter-table row's kind column to its Prometheus `# TYPE`.
+macro_rules! series_type {
+    (counter) => {
+        "counter"
+    };
+    (gauge) => {
+        "gauge"
+    };
+}
+
+/// Maps a counter-table row's optional label column to whether the series
+/// carries the `shard` label on a shard-tagged report.
+macro_rules! shard_labelled {
+    () => {
+        false
+    };
+    (shard) => {
+        true
+    };
+}
+
+/// Declares the scalar counter table and the [`RuntimeReport`] around it.
+/// Each row reads
+///
+/// ```text
+/// /// rustdoc, shared by the enum variant and the report field
+/// Variant field: kind [label], "prometheus_name", "HELP text";
+/// ```
+///
+/// where `kind` is `counter` or `gauge` and the optional `[shard]` label
+/// marks series that carry the shard id. From the rows come the [`Counter`]
+/// enum, the leading `u64` fields of [`RuntimeReport`] (the hand-written
+/// fields follow them), and the exposition columns
+/// [`RuntimeReport::render_prometheus`] iterates, in row order.
+macro_rules! counter_table {
+    (
+        counters {
+            $(
+                $(#[doc = $doc:literal])*
+                $variant:ident $field:ident: $kind:ident $([$label:ident])?, $name:literal,
+                    $help:literal;
+            )*
+        }
+        $(#[$report_attr:meta])*
+        pub struct RuntimeReport { $($report_fields:tt)* }
+    ) => {
+        /// A scalar runtime counter: bumped through [`Metrics::inc`] /
+        /// [`Metrics::add`], read back as the [`RuntimeReport`] field of the
+        /// same name.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $($(#[doc = $doc])* $variant,)*
+        }
+
+        const COUNTERS: usize = [$(Counter::$variant),*].len();
+
+        /// Each [`Counter`]'s exposition columns, indexed by the counter.
+        const ROWS: [Row; COUNTERS] = [$(Row {
+            name: $name,
+            help: $help,
+            kind: series_type!($kind),
+            sharded: shard_labelled!($($label)?),
+        }),*];
+
+        $(#[$report_attr])*
+        pub struct RuntimeReport {
+            $($(#[doc = $doc])* pub $field: u64,)*
+            $($report_fields)*
+        }
+
+        impl RuntimeReport {
+            /// Every table counter's value, indexed by [`Counter`].
+            fn counters(&self) -> [u64; COUNTERS] {
+                [$(self.$field),*]
+            }
+
+            /// Every table counter's field, indexed by [`Counter`].
+            fn counters_mut(&mut self) -> [&mut u64; COUNTERS] {
+                [$(&mut self.$field),*]
+            }
+        }
+    };
+}
+
+/// One counter-table row's exposition columns: the Prometheus name (the
+/// `qdm_` prefix is added on render), its HELP text, its `# TYPE`, and
+/// whether a shard-tagged report labels it with the shard id.
+struct Row {
+    name: &'static str,
+    help: &'static str,
+    kind: &'static str,
+    sharded: bool,
+}
+
 /// Thread-safe runtime counters, updated by workers as jobs complete.
 #[derive(Default)]
 pub struct Metrics {
-    jobs_submitted: AtomicU64,
-    jobs_completed: AtomicU64,
-    jobs_failed: AtomicU64,
-    jobs_cancelled: AtomicU64,
-    jobs_coalesced: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    queue_depth: AtomicU64,
-    queue_depth_peak: AtomicU64,
-    backpressure_rejections: AtomicU64,
-    backpressure_waits: AtomicU64,
+    counters: [AtomicU64; COUNTERS],
     latency: [AtomicU64; LATENCY_BUCKETS],
     served_latency: [AtomicU64; LATENCY_BUCKETS],
     solve_seconds_total_micros: AtomicU64,
     served_seconds_total_micros: AtomicU64,
     compile_saved_nanos: AtomicU64,
-    race_jobs: AtomicU64,
-    jobs_admitted: AtomicU64,
-    jobs_shed: AtomicU64,
-    migrations: AtomicU64,
-    jobs_run_for_peers: AtomicU64,
-    jobs_retried: AtomicU64,
-    retries_exhausted: AtomicU64,
-    deadlines_exceeded: AtomicU64,
-    breaker_opened: AtomicU64,
-    breaker_half_opened: AtomicU64,
-    breaker_closed: AtomicU64,
-    failovers: AtomicU64,
-    jobs_recovered: AtomicU64,
-    snapshot_saved: AtomicU64,
-    snapshot_loaded: AtomicU64,
     per_backend: Mutex<BTreeMap<String, u64>>,
     race_wins: Mutex<BTreeMap<String, u64>>,
 }
@@ -91,22 +160,40 @@ impl Metrics {
         Self::default()
     }
 
-    /// Records `n` newly submitted jobs.
-    pub fn on_submit(&self, n: u64) {
-        self.jobs_submitted.fetch_add(n, Ordering::Relaxed);
+    /// Adds one to `counter`.
+    pub fn inc(&self, counter: Counter) {
+        self.add(counter, 1);
+    }
+
+    /// Adds `n` to `counter`.
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Takes one back from `counter`: a job leaving the queue
+    /// ([`Counter::QueueDepth`]), or a ledger entry the job turned out not
+    /// to belong in after all.
+    pub fn dec(&self, counter: Counter) {
+        self.counters[counter as usize].fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// The current value of `counter`. The cluster's default depth probe
+    /// reads [`Counter::QueueDepth`] for watermark and migration decisions.
+    pub(crate) fn get(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize].load(Ordering::Relaxed)
     }
 
     /// Records a job served from the result cache.
     pub fn on_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        self.jobs_completed.fetch_add(1, Ordering::Relaxed);
+        self.inc(Counter::CacheHits);
+        self.inc(Counter::JobsCompleted);
     }
 
     /// Records a job that missed the cache and was solved on `backend` in
     /// `seconds` of wall time.
     pub fn on_solved(&self, backend: &str, seconds: f64) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        self.jobs_completed.fetch_add(1, Ordering::Relaxed);
+        self.inc(Counter::CacheMisses);
+        self.inc(Counter::JobsCompleted);
         let (micros, bucket) = latency_bucket(seconds);
         self.solve_seconds_total_micros.fetch_add(micros, Ordering::Relaxed);
         self.latency[bucket].fetch_add(1, Ordering::Relaxed);
@@ -124,78 +211,10 @@ impl Metrics {
         self.served_latency[bucket].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a job that could not be placed on any backend.
-    pub fn on_failed(&self) {
-        self.jobs_failed.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records a job entering the service queue, tracking the depth peak.
     pub fn on_enqueue(&self) {
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Records a job leaving the service queue (picked up or cancelled).
-    pub fn on_dequeue(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Records a `try_submit` rejected by a full session queue.
-    pub fn on_backpressure_rejection(&self) {
-        self.backpressure_rejections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a blocking `submit` that had to wait for queue space.
-    pub fn on_backpressure_wait(&self) {
-        self.backpressure_waits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a cancellation that took effect (queued job removed, or a
-    /// running job marked to report `Cancelled`).
-    pub fn on_cancelled(&self) {
-        self.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Reconciles the ledger for a job whose solve finished but whose
-    /// delivered outcome was converted to `Cancelled` (the cancel raced the
-    /// run). The work happened — cache, backend, and latency counters stand
-    /// — but the job already counts in `jobs_cancelled`, so leaving it in
-    /// `jobs_completed` too would double-count it: one submitted job must
-    /// land in exactly one of completed / failed / cancelled.
-    pub fn on_completion_converted_to_cancel(&self) {
-        self.jobs_completed.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// The failure-side twin of
-    /// [`Self::on_completion_converted_to_cancel`]: the job's run *failed*
-    /// (routing error or panic, already counted by [`Self::on_failed`]) but
-    /// the delivered outcome was converted to `Cancelled` — it must count
-    /// cancelled, not failed.
-    pub fn on_failure_converted_to_cancel(&self) {
-        self.jobs_failed.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Records a job that parked on another in-flight job with the same
-    /// work identity (single-flight duplicate suppression) instead of
-    /// solving or missing the cache itself. Counted at park time (tests use
-    /// it as the "the duplicate has coalesced" signal) and netted back out
-    /// by [`Self::on_coalesce_abandoned`] if the leader vanished and the
-    /// park produced nothing.
-    pub fn on_coalesced(&self) {
-        self.jobs_coalesced.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Reverses one [`Self::on_coalesced`]: the parked job's leader
-    /// panicked without publishing, so the job retries (possibly solving
-    /// itself) and its park suppressed no duplicate work after all.
-    pub fn on_coalesce_abandoned(&self) {
-        self.jobs_coalesced.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Records a coalesced job served from its leader's published result
-    /// (neither a cache hit nor a miss: the cache was never consulted).
-    pub fn on_coalesced_served(&self) {
-        self.jobs_completed.fetch_add(1, Ordering::Relaxed);
+        let depth = self.counters[Counter::QueueDepth as usize].fetch_add(1, Ordering::Relaxed) + 1;
+        self.counters[Counter::QueueDepthPeak as usize].fetch_max(depth, Ordering::Relaxed);
     }
 
     /// Records compile time the compile-once pipeline avoided: a job whose
@@ -220,100 +239,8 @@ impl Metrics {
 
     /// Records a completed portfolio race and its winning backend.
     pub fn on_race(&self, winner: &str) {
-        self.race_jobs.fetch_add(1, Ordering::Relaxed);
+        self.inc(Counter::RaceJobs);
         *self.race_wins.lock_unpoisoned().entry(winner.to_string()).or_insert(0) += 1;
-    }
-
-    /// Records a job that passed cluster admission control (token bucket
-    /// and load-shedding watermark) and was enqueued on this shard.
-    pub fn on_admitted(&self) {
-        self.jobs_admitted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a job shed before enqueue — its tenant's token bucket was
-    /// empty or this shard's queue depth crossed the shedding watermark.
-    /// Shed jobs never enter the queue, so they appear in no other ledger
-    /// bucket.
-    pub fn on_shed(&self) {
-        self.jobs_shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a queued job migrated between shards to rebalance queue
-    /// depths. Counted on the **donor** shard (the job left its queue).
-    pub fn on_migrated(&self) {
-        self.migrations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a job this shard's worker ran for the peer shard that
-    /// admitted it (pulled from the peer's queue, or moved here by
-    /// migration or failover). Counted on the **executing** shard; every
-    /// other counter of the job lands on its owner.
-    pub fn on_run_for_peer(&self) {
-        self.jobs_run_for_peers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one retry attempt: a job whose try failed retryably (panic
-    /// or injected error) and was put back through processing under the
-    /// service's [`crate::fault::RetryPolicy`].
-    pub fn on_retried(&self) {
-        self.jobs_retried.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a job that failed retryably *after* exhausting its retry
-    /// budget — the failure the policy could not absorb.
-    pub fn on_retries_exhausted(&self) {
-        self.retries_exhausted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a job that failed with
-    /// [`crate::service::JobError::DeadlineExceeded`].
-    pub fn on_deadline_exceeded(&self) {
-        self.deadlines_exceeded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a backend circuit breaker tripping open (consecutive
-    /// failures reached the threshold, or a half-open probe failed).
-    pub fn on_breaker_opened(&self) {
-        self.breaker_opened.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an open breaker moving to half-open after its cooldown:
-    /// probe traffic is admitted again.
-    pub fn on_breaker_half_opened(&self) {
-        self.breaker_half_opened.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a tripped breaker re-closing on a success.
-    pub fn on_breaker_closed(&self) {
-        self.breaker_closed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a job routed (or drained) away from an unhealthy shard to
-    /// this shard. Counted on the **recipient** shard.
-    pub fn on_failover(&self) {
-        self.failovers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a job replayed from a durable journal during crash recovery.
-    pub fn on_recovered(&self) {
-        self.jobs_recovered.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `entries` cache entries exported into a solution snapshot.
-    pub fn on_snapshot_saved(&self, entries: u64) {
-        self.snapshot_saved.fetch_add(entries, Ordering::Relaxed);
-    }
-
-    /// Records `entries` cache entries restored from a solution snapshot.
-    pub fn on_snapshot_loaded(&self, entries: u64) {
-        self.snapshot_loaded.fetch_add(entries, Ordering::Relaxed);
-    }
-
-    /// Current queue depth, as tracked by [`Self::on_enqueue`] /
-    /// [`Self::on_dequeue`]. The cluster's default depth probe reads this
-    /// for watermark and migration decisions.
-    pub(crate) fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::Relaxed)
     }
 
     /// Snapshots every counter into an immutable report. Map-like fields
@@ -321,65 +248,27 @@ impl Metrics {
     /// equal reports. The portfolio-telemetry and trace fields are empty
     /// here — [`crate::service::SolverService::report`] fills them in.
     pub fn report(&self) -> RuntimeReport {
-        let per_backend: Vec<(String, u64)> = self
-            .per_backend
-            .lock()
-            .expect("metrics lock")
-            .iter()
-            .map(|(name, &count)| (name.clone(), count))
-            .collect();
-        let race_wins: Vec<(String, u64)> = self
-            .race_wins
-            .lock()
-            .expect("metrics lock")
-            .iter()
-            .map(|(name, &count)| (name.clone(), count))
-            .collect();
-        RuntimeReport {
-            jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
-            jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
-            jobs_failed: self.jobs_failed.load(Ordering::Relaxed),
-            jobs_cancelled: self.jobs_cancelled.load(Ordering::Relaxed),
-            jobs_coalesced: self.jobs_coalesced.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
-            backpressure_rejections: self.backpressure_rejections.load(Ordering::Relaxed),
-            backpressure_waits: self.backpressure_waits.load(Ordering::Relaxed),
+        let sorted = |map: &Mutex<BTreeMap<String, u64>>| {
+            map.lock_unpoisoned().iter().map(|(name, &count)| (name.clone(), count)).collect()
+        };
+        let mut report = RuntimeReport {
             solve_seconds_total: self.solve_seconds_total_micros.load(Ordering::Relaxed) as f64
                 / 1e6,
             served_seconds_total: self.served_seconds_total_micros.load(Ordering::Relaxed) as f64
                 / 1e6,
             compile_seconds_saved: self.compile_saved_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            race_jobs: self.race_jobs.load(Ordering::Relaxed),
-            jobs_admitted: self.jobs_admitted.load(Ordering::Relaxed),
-            jobs_shed: self.jobs_shed.load(Ordering::Relaxed),
-            migrations: self.migrations.load(Ordering::Relaxed),
-            jobs_run_for_peers: self.jobs_run_for_peers.load(Ordering::Relaxed),
-            jobs_retried: self.jobs_retried.load(Ordering::Relaxed),
-            retries_exhausted: self.retries_exhausted.load(Ordering::Relaxed),
-            deadlines_exceeded: self.deadlines_exceeded.load(Ordering::Relaxed),
-            breaker_opened: self.breaker_opened.load(Ordering::Relaxed),
-            breaker_half_opened: self.breaker_half_opened.load(Ordering::Relaxed),
-            breaker_closed: self.breaker_closed.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            jobs_recovered: self.jobs_recovered.load(Ordering::Relaxed),
-            snapshot_saved: self.snapshot_saved.load(Ordering::Relaxed),
-            snapshot_loaded: self.snapshot_loaded.load(Ordering::Relaxed),
             latency_histogram: std::array::from_fn(|i| self.latency[i].load(Ordering::Relaxed)),
             served_latency_histogram: std::array::from_fn(|i| {
                 self.served_latency[i].load(Ordering::Relaxed)
             }),
-            per_backend,
-            race_wins,
-            backend_telemetry: Vec::new(),
-            traces_recorded: 0,
-            traces_dropped: 0,
-            queue_backlog_seconds: 0.0,
-            shard: None,
-            shard_queue_depths: Vec::new(),
+            per_backend: sorted(&self.per_backend),
+            race_wins: sorted(&self.race_wins),
+            ..RuntimeReport::default()
+        };
+        for (field, counter) in report.counters_mut().into_iter().zip(&self.counters) {
+            *field = counter.load(Ordering::Relaxed);
         }
+        report
     }
 }
 
@@ -410,126 +299,159 @@ pub struct BackendTelemetry {
     pub estimation_error_factor: f64,
 }
 
-/// An immutable snapshot of the service's counters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RuntimeReport {
-    /// Jobs accepted into the queue.
-    pub jobs_submitted: u64,
-    /// Jobs answered (solved or served from cache).
-    pub jobs_completed: u64,
-    /// Jobs that failed routing (no eligible backend).
-    pub jobs_failed: u64,
-    /// Cancellations that took effect (queued jobs removed before a worker
-    /// picked them up, plus running jobs marked to report `Cancelled`).
-    /// A job cancelled mid-run counts here and **not** in `jobs_completed`,
-    /// even though its solve finished and populated the cache.
-    pub jobs_cancelled: u64,
-    /// Jobs that coalesced onto a concurrent in-flight duplicate
-    /// (single-flight): served from the leader's result without compiling,
-    /// solving, or touching the hit/miss counters.
-    pub jobs_coalesced: u64,
-    /// Jobs served from the result cache.
-    pub cache_hits: u64,
-    /// Jobs that had to be solved.
-    pub cache_misses: u64,
-    /// Jobs sitting in the service queue right now.
-    pub queue_depth: u64,
-    /// Deepest the queue has ever been.
-    pub queue_depth_peak: u64,
-    /// `Session::try_submit` calls rejected with `QueueFull`.
-    pub backpressure_rejections: u64,
-    /// Blocking `Session::submit` calls that had to wait for queue space.
-    pub backpressure_waits: u64,
-    /// Total backend wall time spent solving (cache hits cost none; race
-    /// jobs include every participant's time, not just the winner's).
-    pub solve_seconds_total: f64,
-    /// Total caller-observed enqueue→result time across delivered jobs
-    /// (cache hits and coalesced followers included).
-    pub served_seconds_total: f64,
-    /// Compile time avoided by sharing one compilation per job across every
-    /// dispatched backend: a race of k saves k − 1 compiles, a
-    /// single-backend job saves none. See [`Metrics::on_compile_shared`].
-    pub compile_seconds_saved: f64,
-    /// Portfolio-race jobs completed ([`crate::service::BackendChoice::Race`]).
-    pub race_jobs: u64,
-    /// Jobs that passed cluster admission control and were enqueued here.
-    /// Zero outside a [`crate::cluster::ClusterService`].
-    pub jobs_admitted: u64,
-    /// Jobs shed before enqueue (empty tenant token bucket or queue depth
-    /// over the shedding watermark). Shed jobs were never submitted, so
-    /// they are in no other ledger bucket.
-    pub jobs_shed: u64,
-    /// Queued jobs migrated away from this shard to rebalance queue depths
-    /// (counted on the donor).
-    pub migrations: u64,
-    /// Jobs this shard's workers ran for the peer shard that admitted them
-    /// (counted on the executing shard). Those jobs' own counters — the
-    /// ledger, cache, and latency series — stay on their owner.
-    pub jobs_run_for_peers: u64,
-    /// Retry attempts: tries re-run after a retryable failure (panic or
-    /// injected error) under the service's [`crate::fault::RetryPolicy`].
-    pub jobs_retried: u64,
-    /// Jobs that still failed retryably after exhausting the retry budget.
-    pub retries_exhausted: u64,
-    /// Jobs that failed with
-    /// [`crate::service::JobError::DeadlineExceeded`].
-    pub deadlines_exceeded: u64,
-    /// Backend circuit breakers tripped open (threshold reached or a
-    /// half-open probe failed). Breaker state and the retry counters above
-    /// are the failure-cost telemetry the ROADMAP's cost-aware routing
-    /// (item 4) will fold into its per-backend cost model.
-    pub breaker_opened: u64,
-    /// Open breakers moved to half-open after their cooldown elapsed.
-    pub breaker_half_opened: u64,
-    /// Tripped breakers re-closed by a success.
-    pub breaker_closed: u64,
-    /// Jobs routed or drained to this shard because their home shard was
-    /// unhealthy (counted on the recipient).
-    pub failovers: u64,
-    /// Jobs replayed from a durable journal during crash recovery.
-    pub jobs_recovered: u64,
-    /// Cache entries exported into solution snapshots.
-    pub snapshot_saved: u64,
-    /// Cache entries restored from solution snapshots.
-    pub snapshot_loaded: u64,
-    /// Solve-latency histogram; bucket `i` counts solves in
-    /// `[2^i, 2^(i+1))` µs. Cache hits and coalesced followers are *not* in
-    /// here — see [`Self::served_latency_histogram`].
-    pub latency_histogram: [u64; LATENCY_BUCKETS],
-    /// Caller-observed serve-latency histogram (same bucketing): one entry
-    /// per delivered job — solved, cache hit, or coalesced — measuring
-    /// enqueue→result, so its p99 reflects what callers actually wait.
-    pub served_latency_histogram: [u64; LATENCY_BUCKETS],
-    /// `(backend, jobs solved)` sorted by backend name.
-    pub per_backend: Vec<(String, u64)>,
-    /// `(backend, races won)` sorted by backend name.
-    pub race_wins: Vec<(String, u64)>,
-    /// Per-backend EWMA latency/quality telemetry from the portfolio
-    /// router, sorted by backend name; backends with zero observations are
-    /// omitted. Empty on bare [`Metrics::report`] snapshots — populated by
-    /// [`crate::service::SolverService::report`].
-    pub backend_telemetry: Vec<BackendTelemetry>,
-    /// Job traces recorded over the service's lifetime (retained or
-    /// dropped). Zero on bare [`Metrics::report`] snapshots.
-    pub traces_recorded: u64,
-    /// Job traces lost to ring wraparound or slot contention.
-    pub traces_dropped: u64,
-    /// Predicted seconds of backend work sitting in the service queue
-    /// right now — the sum of every queued job's cost-model prediction.
-    /// This, not `queue_depth`, is what watermark shedding and
-    /// `retry_after_hint` reason about: ten queued 26-variable exact jobs
-    /// are a deeper backlog than a hundred 4-variable anneals. Zero on
-    /// bare [`Metrics::report`] snapshots — populated by
-    /// [`crate::service::SolverService::report`]; merged reports sum it.
-    pub queue_backlog_seconds: f64,
-    /// The shard this report describes: `Some(id)` for a shard inside a
-    /// [`crate::cluster::ClusterService`], `None` for a standalone service
-    /// or a merged cluster report.
-    pub shard: Option<u64>,
-    /// Per-shard `(shard id, current queue depth)` breakdown, sorted by
-    /// shard id. Empty except on reports produced by
-    /// [`RuntimeReport::merge`] over shard-tagged inputs.
-    pub shard_queue_depths: Vec<(u64, u64)>,
+counter_table! {
+    counters {
+        /// Jobs accepted into the queue.
+        JobsSubmitted jobs_submitted: counter, "jobs_submitted_total",
+            "Jobs accepted into the queue.";
+        /// Jobs answered (solved or served from cache).
+        JobsCompleted jobs_completed: counter, "jobs_completed_total",
+            "Jobs answered (solved or served from cache).";
+        /// Jobs that failed: no eligible backend, a panic or injected error
+        /// the retry policy could not absorb, or a missed deadline.
+        JobsFailed jobs_failed: counter, "jobs_failed_total",
+            "Jobs that failed routing (no eligible backend).";
+        /// Cancellations that took effect (queued jobs removed before a worker
+        /// picked them up, plus running jobs marked to report `Cancelled`).
+        /// A job cancelled mid-run counts here and **not** in `jobs_completed`,
+        /// even though its solve finished and populated the cache.
+        JobsCancelled jobs_cancelled: counter, "jobs_cancelled_total",
+            "Cancellations that took effect.";
+        /// Jobs that coalesced onto a concurrent in-flight duplicate
+        /// (single-flight): served from the leader's result without compiling,
+        /// solving, or touching the hit/miss counters. Counted at park time
+        /// and taken back if the leader vanished without publishing.
+        JobsCoalesced jobs_coalesced: counter, "jobs_coalesced_total",
+            "Jobs coalesced onto a concurrent in-flight duplicate.";
+        /// Jobs served from the result cache.
+        CacheHits cache_hits: counter, "cache_hits_total", "Jobs served from the result cache.";
+        /// Jobs that had to be solved.
+        CacheMisses cache_misses: counter, "cache_misses_total", "Jobs that had to be solved.";
+        /// `Session::try_submit` calls rejected with `QueueFull`.
+        BackpressureRejections backpressure_rejections: counter, "backpressure_rejections_total",
+            "try_submit calls rejected by a full session queue.";
+        /// Blocking `Session::submit` calls that had to wait for queue space.
+        BackpressureWaits backpressure_waits: counter, "backpressure_waits_total",
+            "Blocking submit calls that waited for queue space.";
+        /// Portfolio-race jobs completed ([`crate::service::BackendChoice::Race`]).
+        RaceJobs race_jobs: counter, "race_jobs_total", "Portfolio-race jobs completed.";
+        /// Retry attempts: tries re-run after a retryable failure (panic or
+        /// injected error) under the service's [`crate::fault::RetryPolicy`].
+        JobsRetried jobs_retried: counter, "jobs_retried_total",
+            "Retry attempts after retryable failures (panics, injected errors).";
+        /// Jobs that still failed retryably after exhausting the retry budget.
+        RetriesExhausted retries_exhausted: counter, "retries_exhausted_total",
+            "Jobs that failed retryably after exhausting the retry budget.";
+        /// Jobs that failed with
+        /// [`crate::service::JobError::DeadlineExceeded`].
+        DeadlinesExceeded deadlines_exceeded: counter, "deadlines_exceeded_total",
+            "Jobs that missed their per-job deadline.";
+        /// Backend circuit breakers tripped open (threshold reached or a
+        /// half-open probe failed). Cost-aware routing already prices this
+        /// state in: [`crate::portfolio::PortfolioScheduler::rank_costed`]
+        /// discounts an open or half-open backend's capacity.
+        BreakerOpened breaker_opened: counter, "breaker_opened_total",
+            "Backend circuit breakers tripped open.";
+        /// Open breakers moved to half-open after their cooldown elapsed.
+        BreakerHalfOpened breaker_half_opened: counter, "breaker_half_opened_total",
+            "Open breakers moved to half-open after cooldown.";
+        /// Tripped breakers re-closed by a success.
+        BreakerClosed breaker_closed: counter, "breaker_closed_total",
+            "Tripped breakers re-closed by a success.";
+        /// Jobs sitting in the service queue right now.
+        QueueDepth queue_depth: gauge, "queue_depth", "Jobs sitting in the service queue right now.";
+        /// Deepest the queue has ever been.
+        QueueDepthPeak queue_depth_peak: gauge, "queue_depth_peak",
+            "Deepest the queue has ever been.";
+        /// Jobs that passed cluster admission control and were enqueued here.
+        /// Zero outside a [`crate::cluster::ClusterService`].
+        JobsAdmitted jobs_admitted: counter [shard], "jobs_admitted_total",
+            "Jobs that passed cluster admission control and were enqueued.";
+        /// Jobs shed before enqueue (empty tenant token bucket or queue depth
+        /// over the shedding watermark). Shed jobs were never submitted, so
+        /// they are in no other ledger bucket.
+        JobsShed jobs_shed: counter [shard], "jobs_shed_total",
+            "Jobs shed before enqueue (token bucket empty or queue over watermark).";
+        /// Queued jobs moved off this shard's queue onto a peer's (counted on
+        /// the donor): by depth rebalancing, and by
+        /// [`crate::cluster::ClusterService::failover_drain`] evacuating an
+        /// unhealthy shard.
+        Migrations migrations: counter [shard], "migrations_total",
+            "Queued jobs migrated between shards to rebalance depth.";
+        /// Jobs this shard's workers ran for the peer shard that admitted them
+        /// (counted on the executing shard). Those jobs' own counters — the
+        /// ledger, cache, and latency series — stay on their owner.
+        JobsRunForPeers jobs_run_for_peers: counter [shard], "jobs_run_for_peers_total",
+            "Jobs this shard's workers ran for the peer shard that admitted them.";
+        /// Jobs routed or drained to this shard because their home shard was
+        /// unhealthy (counted on the recipient).
+        Failovers failovers: counter [shard], "failovers_total",
+            "Jobs routed or drained here because their home shard was unhealthy.";
+        /// Jobs replayed from a durable journal during crash recovery.
+        JobsRecovered jobs_recovered: counter [shard], "jobs_recovered_total",
+            "Jobs replayed from a durable journal during crash recovery.";
+        /// Cache entries exported into solution snapshots.
+        SnapshotSaved snapshot_saved: counter [shard], "snapshot_saved_entries_total",
+            "Cache entries exported into solution snapshots.";
+        /// Cache entries restored from solution snapshots.
+        SnapshotLoaded snapshot_loaded: counter [shard], "snapshot_loaded_entries_total",
+            "Cache entries restored from solution snapshots.";
+    }
+
+    /// An immutable snapshot of the service's counters: the counter table's
+    /// fields above, then the seconds totals, histograms, per-backend tables
+    /// and the fields the service fills in.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct RuntimeReport {
+        /// Total backend wall time spent solving (cache hits cost none; race
+        /// jobs include every participant's time, not just the winner's).
+        pub solve_seconds_total: f64,
+        /// Total caller-observed enqueue→result time across delivered jobs
+        /// (cache hits and coalesced followers included).
+        pub served_seconds_total: f64,
+        /// Compile time avoided by sharing one compilation per job across every
+        /// dispatched backend: a race of k saves k − 1 compiles, a
+        /// single-backend job saves none. See [`Metrics::on_compile_shared`].
+        pub compile_seconds_saved: f64,
+        /// Solve-latency histogram; bucket `i` counts solves in
+        /// `[2^i, 2^(i+1))` µs. Cache hits and coalesced followers are *not* in
+        /// here — see [`Self::served_latency_histogram`].
+        pub latency_histogram: [u64; LATENCY_BUCKETS],
+        /// Caller-observed serve-latency histogram (same bucketing): one entry
+        /// per delivered job — solved, cache hit, or coalesced — measuring
+        /// enqueue→result, so its p99 reflects what callers actually wait.
+        pub served_latency_histogram: [u64; LATENCY_BUCKETS],
+        /// `(backend, jobs solved)` sorted by backend name.
+        pub per_backend: Vec<(String, u64)>,
+        /// `(backend, races won)` sorted by backend name.
+        pub race_wins: Vec<(String, u64)>,
+        /// Per-backend EWMA latency/quality telemetry from the portfolio
+        /// router, sorted by backend name; backends with zero observations are
+        /// omitted. Empty on bare [`Metrics::report`] snapshots — populated by
+        /// [`crate::service::SolverService::report`].
+        pub backend_telemetry: Vec<BackendTelemetry>,
+        /// Job traces recorded over the service's lifetime (retained or
+        /// dropped). Zero on bare [`Metrics::report`] snapshots.
+        pub traces_recorded: u64,
+        /// Job traces lost to ring wraparound or slot contention.
+        pub traces_dropped: u64,
+        /// Predicted seconds of backend work sitting in the service queue
+        /// right now — the sum of every queued job's cost-model prediction.
+        /// This, not `queue_depth`, is what watermark shedding and
+        /// `retry_after_hint` reason about: ten queued 26-variable exact jobs
+        /// are a deeper backlog than a hundred 4-variable anneals. Zero on
+        /// bare [`Metrics::report`] snapshots — populated by
+        /// [`crate::service::SolverService::report`]; merged reports sum it.
+        pub queue_backlog_seconds: f64,
+        /// The shard this report describes: `Some(id)` for a shard inside a
+        /// [`crate::cluster::ClusterService`], `None` for a standalone service
+        /// or a merged cluster report.
+        pub shard: Option<u64>,
+        /// Per-shard `(shard id, current queue depth)` breakdown, sorted by
+        /// shard id. Empty except on reports produced by
+        /// [`RuntimeReport::merge`] over shard-tagged inputs.
+        pub shard_queue_depths: Vec<(u64, u64)>,
+    }
 }
 
 impl RuntimeReport {
@@ -544,80 +466,17 @@ impl RuntimeReport {
     /// input that was shard-tagged (nested breakdowns from already-merged
     /// inputs are carried through).
     pub fn merge<'a>(reports: impl IntoIterator<Item = &'a RuntimeReport>) -> RuntimeReport {
-        let mut merged = RuntimeReport {
-            jobs_submitted: 0,
-            jobs_completed: 0,
-            jobs_failed: 0,
-            jobs_cancelled: 0,
-            jobs_coalesced: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            queue_depth: 0,
-            queue_depth_peak: 0,
-            backpressure_rejections: 0,
-            backpressure_waits: 0,
-            solve_seconds_total: 0.0,
-            served_seconds_total: 0.0,
-            compile_seconds_saved: 0.0,
-            race_jobs: 0,
-            jobs_admitted: 0,
-            jobs_shed: 0,
-            migrations: 0,
-            jobs_run_for_peers: 0,
-            jobs_retried: 0,
-            retries_exhausted: 0,
-            deadlines_exceeded: 0,
-            breaker_opened: 0,
-            breaker_half_opened: 0,
-            breaker_closed: 0,
-            failovers: 0,
-            jobs_recovered: 0,
-            snapshot_saved: 0,
-            snapshot_loaded: 0,
-            latency_histogram: [0; LATENCY_BUCKETS],
-            served_latency_histogram: [0; LATENCY_BUCKETS],
-            per_backend: Vec::new(),
-            race_wins: Vec::new(),
-            backend_telemetry: Vec::new(),
-            traces_recorded: 0,
-            traces_dropped: 0,
-            queue_backlog_seconds: 0.0,
-            shard: None,
-            shard_queue_depths: Vec::new(),
-        };
+        let mut merged = RuntimeReport::default();
         let mut per_backend: BTreeMap<String, u64> = BTreeMap::new();
         let mut race_wins: BTreeMap<String, u64> = BTreeMap::new();
         let mut telemetry: BTreeMap<String, BackendTelemetry> = BTreeMap::new();
         for r in reports {
-            merged.jobs_submitted += r.jobs_submitted;
-            merged.jobs_completed += r.jobs_completed;
-            merged.jobs_failed += r.jobs_failed;
-            merged.jobs_cancelled += r.jobs_cancelled;
-            merged.jobs_coalesced += r.jobs_coalesced;
-            merged.cache_hits += r.cache_hits;
-            merged.cache_misses += r.cache_misses;
-            merged.queue_depth += r.queue_depth;
-            merged.queue_depth_peak += r.queue_depth_peak;
-            merged.backpressure_rejections += r.backpressure_rejections;
-            merged.backpressure_waits += r.backpressure_waits;
+            for (sum, value) in merged.counters_mut().into_iter().zip(r.counters()) {
+                *sum += value;
+            }
             merged.solve_seconds_total += r.solve_seconds_total;
             merged.served_seconds_total += r.served_seconds_total;
             merged.compile_seconds_saved += r.compile_seconds_saved;
-            merged.race_jobs += r.race_jobs;
-            merged.jobs_admitted += r.jobs_admitted;
-            merged.jobs_shed += r.jobs_shed;
-            merged.migrations += r.migrations;
-            merged.jobs_run_for_peers += r.jobs_run_for_peers;
-            merged.jobs_retried += r.jobs_retried;
-            merged.retries_exhausted += r.retries_exhausted;
-            merged.deadlines_exceeded += r.deadlines_exceeded;
-            merged.breaker_opened += r.breaker_opened;
-            merged.breaker_half_opened += r.breaker_half_opened;
-            merged.breaker_closed += r.breaker_closed;
-            merged.failovers += r.failovers;
-            merged.jobs_recovered += r.jobs_recovered;
-            merged.snapshot_saved += r.snapshot_saved;
-            merged.snapshot_loaded += r.snapshot_loaded;
             merged.traces_recorded += r.traces_recorded;
             merged.traces_dropped += r.traces_dropped;
             merged.queue_backlog_seconds += r.queue_backlog_seconds;
@@ -637,16 +496,13 @@ impl RuntimeReport {
                     .and_modify(|acc| {
                         let (a, b) = (acc.observations as f64, t.observations as f64);
                         if a + b > 0.0 {
-                            acc.ewma_latency_seconds = (acc.ewma_latency_seconds * a
-                                + t.ewma_latency_seconds * b)
-                                / (a + b);
-                            acc.ewma_quality =
-                                (acc.ewma_quality * a + t.ewma_quality * b) / (a + b);
-                            acc.predicted_seconds =
-                                (acc.predicted_seconds * a + t.predicted_seconds * b) / (a + b);
-                            acc.estimation_error_factor = (acc.estimation_error_factor * a
-                                + t.estimation_error_factor * b)
-                                / (a + b);
+                            let avg = |x: f64, y: f64| (x * a + y * b) / (a + b);
+                            acc.ewma_latency_seconds =
+                                avg(acc.ewma_latency_seconds, t.ewma_latency_seconds);
+                            acc.ewma_quality = avg(acc.ewma_quality, t.ewma_quality);
+                            acc.predicted_seconds = avg(acc.predicted_seconds, t.predicted_seconds);
+                            acc.estimation_error_factor =
+                                avg(acc.estimation_error_factor, t.estimation_error_factor);
                         }
                         acc.observations += t.observations;
                         acc.race_entries += t.race_entries;
@@ -698,158 +554,47 @@ impl RuntimeReport {
     /// latency/quality gauges.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);
-        let mut counter = |name: &str, help: &str, value: f64| {
-            out.push_str(&format!(
-                "# HELP qdm_{name} {help}\n# TYPE qdm_{name} counter\nqdm_{name} {value}\n"
-            ));
-        };
-        counter(
-            "jobs_submitted_total",
-            "Jobs accepted into the queue.",
-            self.jobs_submitted as f64,
-        );
-        counter(
-            "jobs_completed_total",
-            "Jobs answered (solved or served from cache).",
-            self.jobs_completed as f64,
-        );
-        counter(
-            "jobs_failed_total",
-            "Jobs that failed routing (no eligible backend).",
-            self.jobs_failed as f64,
-        );
-        counter(
-            "jobs_cancelled_total",
-            "Cancellations that took effect.",
-            self.jobs_cancelled as f64,
-        );
-        counter(
-            "jobs_coalesced_total",
-            "Jobs coalesced onto a concurrent in-flight duplicate.",
-            self.jobs_coalesced as f64,
-        );
-        counter("cache_hits_total", "Jobs served from the result cache.", self.cache_hits as f64);
-        counter("cache_misses_total", "Jobs that had to be solved.", self.cache_misses as f64);
-        counter(
-            "backpressure_rejections_total",
-            "try_submit calls rejected by a full session queue.",
-            self.backpressure_rejections as f64,
-        );
-        counter(
-            "backpressure_waits_total",
-            "Blocking submit calls that waited for queue space.",
-            self.backpressure_waits as f64,
-        );
-        counter("race_jobs_total", "Portfolio-race jobs completed.", self.race_jobs as f64);
-        counter(
-            "jobs_retried_total",
-            "Retry attempts after retryable failures (panics, injected errors).",
-            self.jobs_retried as f64,
-        );
-        counter(
-            "retries_exhausted_total",
-            "Jobs that failed retryably after exhausting the retry budget.",
-            self.retries_exhausted as f64,
-        );
-        counter(
-            "deadlines_exceeded_total",
-            "Jobs that missed their per-job deadline.",
-            self.deadlines_exceeded as f64,
-        );
-        counter(
-            "breaker_opened_total",
-            "Backend circuit breakers tripped open.",
-            self.breaker_opened as f64,
-        );
-        counter(
-            "breaker_half_opened_total",
-            "Open breakers moved to half-open after cooldown.",
-            self.breaker_half_opened as f64,
-        );
-        counter(
-            "breaker_closed_total",
-            "Tripped breakers re-closed by a success.",
-            self.breaker_closed as f64,
-        );
-        counter(
-            "compile_seconds_saved_total",
-            "Compile time avoided by compile-once sharing.",
-            self.compile_seconds_saved,
-        );
-        counter(
-            "traces_recorded_total",
-            "Job traces recorded (retained or dropped).",
-            self.traces_recorded as f64,
-        );
-        counter(
-            "traces_dropped_total",
-            "Job traces lost to ring wraparound or slot contention.",
-            self.traces_dropped as f64,
-        );
-        let mut gauge = |name: &str, help: &str, value: f64| {
-            out.push_str(&format!(
-                "# HELP qdm_{name} {help}\n# TYPE qdm_{name} gauge\nqdm_{name} {value}\n"
-            ));
-        };
-        gauge(
-            "queue_depth",
-            "Jobs sitting in the service queue right now.",
-            self.queue_depth as f64,
-        );
-        gauge("queue_depth_peak", "Deepest the queue has ever been.", self.queue_depth_peak as f64);
-        gauge(
-            "queue_backlog_seconds",
-            "Predicted seconds of backend work sitting in the queue right now.",
-            self.queue_backlog_seconds,
-        );
-
-        // Cluster admission/shedding counters carry the shard id as a label
-        // when this report describes one shard of a cluster.
+        let hand_filled = [
+            (
+                "counter",
+                "compile_seconds_saved_total",
+                "Compile time avoided by compile-once sharing.",
+                self.compile_seconds_saved,
+            ),
+            (
+                "counter",
+                "traces_recorded_total",
+                "Job traces recorded (retained or dropped).",
+                self.traces_recorded as f64,
+            ),
+            (
+                "counter",
+                "traces_dropped_total",
+                "Job traces lost to ring wraparound or slot contention.",
+                self.traces_dropped as f64,
+            ),
+            (
+                "gauge",
+                "queue_backlog_seconds",
+                "Predicted seconds of backend work sitting in the queue right now.",
+                self.queue_backlog_seconds,
+            ),
+        ];
+        let mut series: Vec<_> = ROWS
+            .iter()
+            .zip(self.counters())
+            .map(|(row, value)| (row.kind, row.sharded, row.name, row.help, value as f64))
+            .chain(hand_filled.map(|(kind, name, help, value)| (kind, false, name, help, value)))
+            .collect();
+        // Unlabelled counters, then gauges, then the counters that carry
+        // the shard id on a shard-tagged report. The sort is stable: table
+        // rows keep their order, and the hand-filled series close a group.
+        series.sort_by_key(|&(kind, sharded, ..)| (sharded, kind == "gauge"));
         let shard_label = self.shard.map(|s| format!("{{shard=\"{s}\"}}")).unwrap_or_default();
-        for (name, help, value) in [
-            (
-                "jobs_admitted_total",
-                "Jobs that passed cluster admission control and were enqueued.",
-                self.jobs_admitted as f64,
-            ),
-            (
-                "jobs_shed_total",
-                "Jobs shed before enqueue (token bucket empty or queue over watermark).",
-                self.jobs_shed as f64,
-            ),
-            (
-                "migrations_total",
-                "Queued jobs migrated between shards to rebalance depth.",
-                self.migrations as f64,
-            ),
-            (
-                "jobs_run_for_peers_total",
-                "Jobs this shard's workers ran for the peer shard that admitted them.",
-                self.jobs_run_for_peers as f64,
-            ),
-            (
-                "failovers_total",
-                "Jobs routed or drained here because their home shard was unhealthy.",
-                self.failovers as f64,
-            ),
-            (
-                "jobs_recovered_total",
-                "Jobs replayed from a durable journal during crash recovery.",
-                self.jobs_recovered as f64,
-            ),
-            (
-                "snapshot_saved_entries_total",
-                "Cache entries exported into solution snapshots.",
-                self.snapshot_saved as f64,
-            ),
-            (
-                "snapshot_loaded_entries_total",
-                "Cache entries restored from solution snapshots.",
-                self.snapshot_loaded as f64,
-            ),
-        ] {
+        for (kind, sharded, name, help, value) in series {
+            let labels = if sharded { shard_label.as_str() } else { "" };
             out.push_str(&format!(
-                "# HELP qdm_{name} {help}\n# TYPE qdm_{name} counter\nqdm_{name}{shard_label} {value}\n"
+                "# HELP qdm_{name} {help}\n# TYPE qdm_{name} {kind}\nqdm_{name}{labels} {value}\n"
             ));
         }
         if !self.shard_queue_depths.is_empty() {
@@ -1063,7 +808,7 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let m = Metrics::new();
-        m.on_submit(3);
+        m.add(Counter::JobsSubmitted, 3);
         m.on_cache_hit();
         m.on_solved("tabu", 0.001);
         m.on_solved("tabu", 0.002);
@@ -1096,8 +841,8 @@ mod tests {
         m.on_served(0.004);
         m.on_cache_hit();
         m.on_served(3e-6);
-        m.on_coalesced();
-        m.on_coalesced_served();
+        m.inc(Counter::JobsCoalesced);
+        m.inc(Counter::JobsCompleted);
         m.on_served(5e-6);
         let r = m.report();
         assert_eq!(r.latency_histogram.iter().sum::<u64>(), 1, "only the miss hit a backend");
@@ -1156,10 +901,10 @@ mod tests {
         let m = Metrics::new();
         m.on_enqueue();
         m.on_enqueue();
-        m.on_dequeue();
-        m.on_backpressure_rejection();
-        m.on_backpressure_wait();
-        m.on_cancelled();
+        m.dec(Counter::QueueDepth);
+        m.inc(Counter::BackpressureRejections);
+        m.inc(Counter::BackpressureWaits);
+        m.inc(Counter::JobsCancelled);
         let r = m.report();
         assert_eq!(r.queue_depth, 1);
         assert_eq!(r.queue_depth_peak, 2);
@@ -1209,15 +954,15 @@ mod tests {
     #[test]
     fn coalesced_and_cancel_conversion_keep_the_ledger_consistent() {
         let m = Metrics::new();
-        m.on_submit(3);
+        m.add(Counter::JobsSubmitted, 3);
         // Job 1: solved normally. Job 2: coalesced onto job 1. Job 3:
         // solved, but its cancel raced the run and won.
         m.on_solved("tabu", 0.001);
-        m.on_coalesced();
-        m.on_coalesced_served();
+        m.inc(Counter::JobsCoalesced);
+        m.inc(Counter::JobsCompleted);
         m.on_solved("tabu", 0.002);
-        m.on_cancelled();
-        m.on_completion_converted_to_cancel();
+        m.inc(Counter::JobsCancelled);
+        m.dec(Counter::JobsCompleted);
         let r = m.report();
         assert_eq!(r.jobs_submitted, 3);
         assert_eq!(r.jobs_completed, 2, "the cancelled job must not stay counted completed");
@@ -1236,11 +981,11 @@ mod tests {
     #[test]
     fn admission_counters_accumulate_and_render() {
         let m = Metrics::new();
-        m.on_admitted();
-        m.on_admitted();
-        m.on_shed();
-        m.on_migrated();
-        m.on_run_for_peer();
+        m.inc(Counter::JobsAdmitted);
+        m.inc(Counter::JobsAdmitted);
+        m.inc(Counter::JobsShed);
+        m.inc(Counter::Migrations);
+        m.inc(Counter::JobsRunForPeers);
         let mut r = m.report();
         assert_eq!(r.jobs_admitted, 2);
         assert_eq!(r.jobs_shed, 1);
@@ -1269,23 +1014,23 @@ mod tests {
     #[test]
     fn merge_sums_counters_histograms_and_tables() {
         let a = Metrics::new();
-        a.on_submit(2);
+        a.add(Counter::JobsSubmitted, 2);
         a.on_solved("tabu", 1e-6); // bucket 0
         a.on_served(1e-6);
         a.on_cache_hit();
         a.on_served(3e-6);
         a.on_enqueue();
-        a.on_admitted();
-        a.on_admitted();
-        a.on_shed();
+        a.inc(Counter::JobsAdmitted);
+        a.inc(Counter::JobsAdmitted);
+        a.inc(Counter::JobsShed);
         let b = Metrics::new();
-        b.on_submit(1);
+        b.add(Counter::JobsSubmitted, 1);
         b.on_solved("tabu", 3000e-6); // bucket 11
         b.on_solved("simulated-annealing", 1e-6);
         b.on_served(3000e-6);
-        b.on_migrated();
-        a.on_run_for_peer();
-        b.on_run_for_peer();
+        b.inc(Counter::Migrations);
+        a.inc(Counter::JobsRunForPeers);
+        b.inc(Counter::JobsRunForPeers);
         let mut ra = a.report();
         ra.shard = Some(0);
         let mut rb = b.report();
@@ -1413,7 +1158,7 @@ mod tests {
     #[test]
     fn prometheus_rendering_parses_line_by_line() {
         let m = Metrics::new();
-        m.on_submit(4);
+        m.add(Counter::JobsSubmitted, 4);
         m.on_cache_hit();
         m.on_served(1e-6);
         m.on_solved("tabu", 0.004);
@@ -1491,5 +1236,110 @@ mod tests {
         // Buckets are cumulative: the le="0.000002" served bucket already
         // holds the 1µs cache hit.
         assert!(text.contains("qdm_served_latency_seconds_bucket{le=\"0.000002\"} 1\n"), "{text}");
+    }
+
+    /// A metrics state in which every scalar counter holds a distinct
+    /// non-zero value, plus a filled-in telemetry row and service fields.
+    fn golden_report() -> RuntimeReport {
+        let m = Metrics::new();
+        let times = |n: u64, f: &dyn Fn()| (0..n).for_each(|_| f());
+        m.add(Counter::JobsSubmitted, 101);
+        times(3, &|| m.on_cache_hit());
+        for (backend, seconds) in
+            [("tabu", 0.004), ("tabu", 0.5), ("simulated-annealing", 2e-6), ("tabu", 20.0)]
+        {
+            m.on_solved(backend, seconds);
+        }
+        for seconds in [3e-6, 0.004, 0.02] {
+            m.on_served(seconds);
+        }
+        m.add(Counter::JobsCompleted, 10);
+        times(2, &|| m.dec(Counter::JobsCompleted));
+        m.add(Counter::JobsFailed, 8);
+        m.dec(Counter::JobsFailed);
+        m.add(Counter::JobsCancelled, 9);
+        m.add(Counter::JobsCoalesced, 13);
+        times(2, &|| m.dec(Counter::JobsCoalesced));
+        times(22, &|| m.on_enqueue());
+        times(17, &|| m.dec(Counter::QueueDepth));
+        m.add(Counter::BackpressureRejections, 6);
+        m.add(Counter::BackpressureWaits, 12);
+        times(9, &|| m.on_race("tabu"));
+        times(5, &|| m.on_race("simulated-annealing"));
+        m.on_race_participant_time(0.25);
+        m.on_compile_shared(0.001, 5);
+        for (counter, n) in [
+            (Counter::JobsAdmitted, 16),
+            (Counter::JobsShed, 17),
+            (Counter::Migrations, 18),
+            (Counter::JobsRunForPeers, 19),
+            (Counter::JobsRetried, 20),
+            (Counter::RetriesExhausted, 21),
+            (Counter::DeadlinesExceeded, 23),
+            (Counter::BreakerOpened, 24),
+            (Counter::BreakerHalfOpened, 25),
+            (Counter::BreakerClosed, 26),
+            (Counter::Failovers, 27),
+            (Counter::JobsRecovered, 28),
+            (Counter::SnapshotSaved, 29),
+            (Counter::SnapshotLoaded, 30),
+        ] {
+            m.add(counter, n);
+        }
+        let mut r = m.report();
+        r.backend_telemetry = vec![BackendTelemetry {
+            backend: "tabu".to_string(),
+            observations: 7,
+            ewma_latency_seconds: 0.003,
+            ewma_quality: 0.5,
+            race_entries: 4,
+            race_wins: 3,
+            predicted_seconds: 0.002,
+            estimation_error_factor: 1.5,
+        }];
+        r.traces_recorded = 31;
+        r.traces_dropped = 32;
+        r.queue_backlog_seconds = 1.25;
+        r
+    }
+
+    /// Byte-for-byte exposition and `Display` captures of a standalone,
+    /// a shard-tagged and a merged report. The table-driven renderer must
+    /// reproduce them exactly: a swapped row, a wrong kind or a wrong label
+    /// changes the text.
+    #[test]
+    fn exposition_and_display_match_the_golden_captures() {
+        let plain = golden_report();
+        let mut tagged = plain.clone();
+        tagged.shard = Some(2);
+        let other = Metrics::new();
+        other.add(Counter::JobsSubmitted, 1000);
+        other.on_enqueue();
+        other.inc(Counter::JobsShed);
+        other.inc(Counter::Failovers);
+        let mut other = other.report();
+        other.shard = Some(5);
+        let merged = RuntimeReport::merge([&tagged, &other]);
+        let captures = [
+            (
+                &plain,
+                include_str!("../tests/golden/report_plain.prom"),
+                include_str!("../tests/golden/report_plain.txt"),
+            ),
+            (
+                &tagged,
+                include_str!("../tests/golden/report_tagged.prom"),
+                include_str!("../tests/golden/report_tagged.txt"),
+            ),
+            (
+                &merged,
+                include_str!("../tests/golden/report_merged.prom"),
+                include_str!("../tests/golden/report_merged.txt"),
+            ),
+        ];
+        for (report, prometheus, display) in captures {
+            assert_eq!(report.render_prometheus(), prometheus);
+            assert_eq!(report.to_string(), display);
+        }
     }
 }

@@ -87,19 +87,11 @@ impl PortfolioScheduler {
         )
     }
 
-    /// Picks a backend index for an `n_vars`-variable job, or `None` when no
-    /// registered backend admits the model.
-    ///
-    /// Score = expected seconds (calibrated analytic estimate, priced for
-    /// reliability) × a quality multiplier; lowest score wins, ties broken
-    /// by registration order, so routing is deterministic for a given
-    /// telemetry state. Equivalent to `rank(..).first()`.
-    pub fn route(&self, registry: &SolverRegistry, n_vars: usize) -> Option<usize> {
-        self.rank(registry, n_vars).first().copied()
-    }
-
     /// Ranks every eligible backend for an `n_vars`-variable job, best
-    /// first: ascending score, ties broken by registration order. The
+    /// first; empty when no registered backend admits the model. Score =
+    /// expected seconds (calibrated analytic estimate, priced for
+    /// reliability) × a quality multiplier; ascending score, ties broken by
+    /// registration order, so `rank(..).first()` is the routed backend. The
     /// prefix of this ranking is what a [`crate::service::BackendChoice::Race`]
     /// job's participants are drawn from, so the order is deterministic for
     /// a given telemetry state.
@@ -107,27 +99,15 @@ impl PortfolioScheduler {
         self.rank_costed(registry, CostShape::from_n_vars(n_vars), |_| false, |_| 1.0)
     }
 
-    /// [`Self::rank`] with degraded backends removed: `exclude` is consulted
-    /// per candidate (open circuit breakers, backends that already failed
-    /// this job's earlier attempts). Never degrades to zero — when every
-    /// eligible backend is excluded, the best-ranked one stays in, so a
-    /// fully tripped portfolio still serves (its next answer is also the
-    /// half-open probe that can re-close a breaker).
-    pub fn rank_filtered(
-        &self,
-        registry: &SolverRegistry,
-        n_vars: usize,
-        exclude: impl Fn(usize) -> bool,
-    ) -> Vec<usize> {
-        self.rank_costed(registry, CostShape::from_n_vars(n_vars), exclude, |_| 1.0)
-    }
-
     /// The full-information ranking: a measured [`CostShape`] (the
     /// compiled model's real average degree), per-candidate exclusion, and
     /// a per-candidate capacity discount (open/half-open breakers price a
-    /// backend up instead of merely dropping out of one ranking). The
-    /// fallback rule of [`Self::rank_filtered`] applies: when everything
-    /// eligible is excluded, the best-ranked backend stays in.
+    /// backend up instead of merely dropping out of one ranking). `exclude`
+    /// is consulted per candidate (open circuit breakers, backends that
+    /// already failed this job's earlier attempts). Never degrades to zero —
+    /// when every eligible backend is excluded, the best-ranked one stays
+    /// in, so a fully tripped portfolio still serves (its next answer is
+    /// also the half-open probe that can re-close a breaker).
     pub fn rank_costed(
         &self,
         registry: &SolverRegistry,
@@ -268,17 +248,17 @@ mod tests {
         let reg = SolverRegistry::standard();
         let sched = PortfolioScheduler::new(reg.len());
         // 30 variables: only large-capacity heuristics are eligible.
-        let chosen = sched.route(&reg, 30).expect("someone can take 30 vars");
+        let chosen = sched.rank(&reg, 30).first().copied().expect("someone can take 30 vars");
         assert!(reg.get(chosen).spec.max_vars >= 30);
         // Beyond every backend's cap: unroutable.
-        assert!(sched.route(&reg, 2_000_000).is_none());
+        assert!(sched.rank(&reg, 2_000_000).first().copied().is_none());
     }
 
     #[test]
     fn small_jobs_route_to_exact() {
         let reg = SolverRegistry::standard();
         let sched = PortfolioScheduler::new(reg.len());
-        let chosen = sched.route(&reg, 6).expect("routable");
+        let chosen = sched.rank(&reg, 6).first().copied().expect("routable");
         assert_eq!(reg.get(chosen).spec.name, "exact");
     }
 
@@ -287,7 +267,7 @@ mod tests {
         let reg = SolverRegistry::standard();
         let sched = PortfolioScheduler::new(reg.len());
         let exact = reg.find("exact").unwrap();
-        let first = sched.route(&reg, 6).unwrap();
+        let first = sched.rank(&reg, 6).first().copied().unwrap();
         assert_eq!(first, exact);
         // Exact turns out to be slow and SA answers instantly and optimally:
         // traffic must move off exact.
@@ -296,7 +276,7 @@ mod tests {
             record_simple(&sched, &reg, exact, 10.0);
             record_simple(&sched, &reg, sa, 1e-6);
         }
-        let rerouted = sched.route(&reg, 6).unwrap();
+        let rerouted = sched.rank(&reg, 6).first().copied().unwrap();
         assert_eq!(rerouted, sa);
     }
 
@@ -305,7 +285,7 @@ mod tests {
         let reg = SolverRegistry::standard();
         let sched = PortfolioScheduler::new(reg.len());
         let exact = reg.find("exact").unwrap();
-        assert_eq!(sched.route(&reg, 6), Some(exact));
+        assert_eq!(sched.rank(&reg, 6).first().copied(), Some(exact));
         // Exact answers when it answers — but fails 39 times out of 40.
         // Its expected cost is latency ÷ success rate, which prices it
         // far above the (slower but reliable) heuristics at this size.
@@ -313,7 +293,7 @@ mod tests {
         for _ in 0..39 {
             sched.record_failure(exact);
         }
-        let rerouted = sched.route(&reg, 6).unwrap();
+        let rerouted = sched.rank(&reg, 6).first().copied().unwrap();
         assert_ne!(rerouted, exact, "an unreliable backend loses its route");
     }
 
@@ -348,7 +328,7 @@ mod tests {
         for n_vars in [4usize, 6, 30] {
             let ranked = sched.rank(&reg, n_vars);
             assert!(!ranked.is_empty());
-            assert_eq!(sched.route(&reg, n_vars), Some(ranked[0]));
+            assert_eq!(sched.rank(&reg, n_vars).first().copied(), Some(ranked[0]));
             for &i in &ranked {
                 assert!(reg.get(i).spec.max_vars >= n_vars);
             }

@@ -38,7 +38,7 @@ use crate::cost::{analytic_seconds, CostShape, MIN_PREDICTED_SECONDS};
 use crate::fault::{FaultAction, FaultInjector, FaultSite, RetryPolicy};
 use crate::handle::{Completion, CompletionSlot, JobHandle};
 use crate::journal::{unfinished, Journal, JournalEvent, SolutionSnapshot, SubmittedRecord};
-use crate::metrics::{BackendTelemetry, Metrics, RuntimeReport};
+use crate::metrics::{BackendTelemetry, Counter, Metrics, RuntimeReport};
 use crate::portfolio::{energy_quality, PortfolioScheduler};
 use crate::registry::SolverRegistry;
 use crate::scheduler::{JobScheduler, SchedulerPolicy};
@@ -844,7 +844,7 @@ impl SolverService {
             let problem = resolver(&record).unwrap_or_else(|| record.fallback_problem());
             let spec = record.to_spec(problem);
             assert!(core.try_reserve(), "recovery session is sized to the backlog");
-            self.shared.metrics.on_recovered();
+            self.shared.metrics.inc(Counter::JobsRecovered);
             handles.push(crate::submit::enqueue_reserved(
                 &self.shared,
                 &core,
@@ -864,7 +864,7 @@ impl SolverService {
     /// it serves previously solved work from the cache without recompiling.
     pub fn save_snapshot(&self) -> SolutionSnapshot {
         let entries = self.shared.cache.entries();
-        self.shared.metrics.on_snapshot_saved(entries.len() as u64);
+        self.shared.metrics.add(Counter::SnapshotSaved, entries.len() as u64);
         SolutionSnapshot { entries }
     }
 
@@ -876,7 +876,7 @@ impl SolverService {
         for (key, value) in &snapshot.entries {
             self.shared.cache.insert(key.clone(), value.clone());
         }
-        self.shared.metrics.on_snapshot_loaded(snapshot.entries.len() as u64);
+        self.shared.metrics.add(Counter::SnapshotLoaded, snapshot.entries.len() as u64);
     }
 
     /// Tears the service down the way a crash would: every queued or parked
@@ -939,7 +939,7 @@ fn next_job(shared: &Shared) -> Option<QueuedJob> {
         }
         let mut queue = shared.queue.lock_unpoisoned();
         if let Some(job) = queue.pop() {
-            shared.metrics.on_dequeue();
+            shared.metrics.dec(Counter::QueueDepth);
             return Some(job);
         }
         if shared.shutting_down.load(Ordering::SeqCst) {
@@ -968,7 +968,7 @@ fn next_job(shared: &Shared) -> Option<QueuedJob> {
             {
                 shared.idle_workers.fetch_sub(1, Ordering::SeqCst);
                 if own.is_some() {
-                    shared.metrics.on_dequeue();
+                    shared.metrics.dec(Counter::QueueDepth);
                     return own;
                 }
                 continue;
@@ -999,10 +999,10 @@ fn next_job(shared: &Shared) -> Option<QueuedJob> {
 /// queue the job left counts the dequeue; the job keeps its owner.
 fn pull_from_peers(peers: &[Weak<Shared>]) -> Option<QueuedJob> {
     let mut ranked: Vec<Arc<Shared>> = peers.iter().filter_map(Weak::upgrade).collect();
-    ranked.sort_by_cached_key(|peer| std::cmp::Reverse(peer.metrics.queue_depth()));
+    ranked.sort_by_cached_key(|peer| std::cmp::Reverse(peer.metrics.get(Counter::QueueDepth)));
     ranked.into_iter().find_map(|peer| {
         let job = peer.queue.lock_unpoisoned().pop()?;
-        peer.metrics.on_dequeue();
+        peer.metrics.dec(Counter::QueueDepth);
         Some(job)
     })
 }
@@ -1021,7 +1021,7 @@ fn run_job(host: &Shared, mut job: QueuedJob) {
         // resumed park already freed it at its first pickup.)
         job.session.on_dequeue();
         if !std::ptr::eq(shared, host) {
-            host.metrics.on_run_for_peer();
+            host.metrics.inc(Counter::JobsRunForPeers);
         }
     }
     // The trace is assembled worker-locally — the shared sink is only
@@ -1104,7 +1104,7 @@ fn run_job(host: &Shared, mut job: QueuedJob) {
         }
         if retryable && attempt < shared.retry.max_retries {
             attempt += 1;
-            shared.metrics.on_retried();
+            shared.metrics.inc(Counter::JobsRetried);
             let backoff_start_ns = if trace.is_some() { shared.now_ns() } else { 0 };
             let backoff = shared.retry.backoff(job.spec.seed, attempt);
             if backoff.is_zero() {
@@ -1131,7 +1131,7 @@ fn run_job(host: &Shared, mut job: QueuedJob) {
             return;
         }
         if retryable && shared.retry.max_retries > 0 {
-            shared.metrics.on_retries_exhausted();
+            shared.metrics.inc(Counter::RetriesExhausted);
         }
         break Err(err);
     }
@@ -1144,10 +1144,12 @@ fn run_job(host: &Shared, mut job: QueuedJob) {
     // followers); retryable failures and deadline expiries are only
     // terminal here, after the retry loop gave up.
     match &outcome {
-        Err(JobError::Panicked(_)) | Err(JobError::Injected(_)) => shared.metrics.on_failed(),
+        Err(JobError::Panicked(_)) | Err(JobError::Injected(_)) => {
+            shared.metrics.inc(Counter::JobsFailed)
+        }
         Err(JobError::DeadlineExceeded { .. }) => {
-            shared.metrics.on_deadline_exceeded();
-            shared.metrics.on_failed();
+            shared.metrics.inc(Counter::DeadlinesExceeded);
+            shared.metrics.inc(Counter::JobsFailed);
         }
         _ => {}
     }
@@ -1375,11 +1377,13 @@ fn process(
                 return lead(shared, spec, route, key, lease, trace, ctx);
             }
             FlightRole::Follower(flight) => {
-                shared.metrics.on_coalesced();
+                shared.metrics.inc(Counter::JobsCoalesced);
                 let park_start_ns = if trace.is_some() { shared.now_ns() } else { 0 };
                 match flight.wait() {
                     FlightResolution::Served(cached) if cached.fits(n_vars) => {
-                        shared.metrics.on_coalesced_served();
+                        // Served from the leader's published result: neither
+                        // a cache hit nor a miss, the cache was never asked.
+                        shared.metrics.inc(Counter::JobsCompleted);
                         let result = serve(spec, route, cached, true);
                         push_serve_span(shared, trace, park_start_ns, &result);
                         return Ok(result);
@@ -1387,7 +1391,7 @@ fn process(
                     FlightResolution::Failed(err) => {
                         // The leader failed routing deterministically; an
                         // identical spec fails identically.
-                        shared.metrics.on_failed();
+                        shared.metrics.inc(Counter::JobsFailed);
                         return Err(err);
                     }
                     // The leader panicked without publishing, or published
@@ -1395,7 +1399,7 @@ fn process(
                     // the top — this job may become the new leader. The
                     // park suppressed nothing, so net it back out.
                     FlightResolution::Served(_) | FlightResolution::Abandoned => {
-                        shared.metrics.on_coalesce_abandoned();
+                        shared.metrics.dec(Counter::JobsCoalesced);
                         continue;
                     }
                 }
@@ -1547,7 +1551,7 @@ fn lead(
             // Routing errors are deterministic functions of the spec, so
             // publishing the error serves parked duplicates the exact
             // outcome they would have computed.
-            shared.metrics.on_failed();
+            shared.metrics.inc(Counter::JobsFailed);
             lease.publish(Err(err.clone()));
             return Err(err);
         }

@@ -21,7 +21,7 @@
 
 use crate::handle::{Completion, CompletionSlot, JobHandle};
 use crate::journal::{JournalEvent, SubmittedRecord};
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics};
 use crate::service::{JobSpec, QueuedJob, RouteInfo, Shared, SolverService};
 use crate::sync::{CondvarExt, LockExt};
 use std::collections::VecDeque;
@@ -174,7 +174,7 @@ impl SessionCore {
         let mut waited = false;
         while inner.queued >= self.capacity {
             if !waited {
-                metrics.on_backpressure_wait();
+                metrics.inc(Counter::BackpressureWaits);
                 waited = true;
             }
             inner = self.changed.wait_unpoisoned(inner);
@@ -287,7 +287,7 @@ impl Session<'_> {
     /// [`SubmitError::QueueFull`] with the spec handed back.
     pub fn try_submit(&self, spec: JobSpec) -> Result<JobHandle, SubmitError> {
         if !self.core.try_reserve() {
-            self.service.shared.metrics.on_backpressure_rejection();
+            self.service.shared.metrics.inc(Counter::BackpressureRejections);
             return Err(SubmitError::QueueFull(spec));
         }
         Ok(self.enqueue(spec))
@@ -360,7 +360,7 @@ pub(crate) fn enqueue_reserved(
     tenant: Option<&str>,
     recovered: bool,
 ) -> JobHandle {
-    shared.metrics.on_submit(1);
+    shared.metrics.inc(Counter::JobsSubmitted);
     shared.metrics.on_enqueue();
     // Journal the submission *before* the job becomes runnable: once a
     // worker can pick it up, a crash at any later point finds either this

@@ -330,9 +330,9 @@ fn job_cancelled_mid_run_that_fails_routing_counts_cancelled_not_failed() {
     let gate = Arc::new(Gate::default());
 
     // The job blocks in `to_qubo`, is cancelled while running, and then
-    // fails routing (unknown backend). `on_failed` fired, the cancel fired
-    // — the conversion must give back the failed count so the job lands in
-    // exactly one ledger bucket.
+    // fails routing (unknown backend). It counted in `jobs_failed`, and the
+    // cancel counted it in `jobs_cancelled` — the conversion must give back
+    // the failed count so the job lands in exactly one ledger bucket.
     let doomed = session.submit(
         JobSpec::new(Arc::new(Blocker { gate: Arc::clone(&gate) }), 1).on_backend("warp-drive"),
     );

@@ -1,9 +1,10 @@
 //! Integration tests for the sharded cluster front-end: shard-count
 //! invariance of results, token-bucket shedding with a manual clock (no
 //! sleeps), cross-shard migration that never loses or duplicates a job,
-//! idle shards that run a wedged peer's queue, and the ownership rule
-//! behind both: a moved job is still served, journaled, cached, and
-//! counted by the shard that admitted it.
+//! cancellation that reaches a migrated job, idle shards that run a
+//! wedged peer's queue, and the ownership rule behind moving and pulling
+//! jobs: a moved job is still served, journaled, cached, and counted by
+//! the shard that admitted it.
 
 use qdm::prelude::*;
 use qdm::qubo::model::QuboModel;
@@ -104,6 +105,7 @@ fn shed_then_retry_resubmits_the_recovered_spec() {
         clock: Some(clock.clone()),
         ..Default::default()
     });
+    let _unwedge = OpenOnDrop(Arc::clone(&gate));
     let session = cluster.session("burst", SessionConfig::default());
     let spec = |seed| {
         let problem =
@@ -458,6 +460,73 @@ fn an_idle_shard_runs_a_wedged_peers_queue_for_its_owner() {
 }
 
 #[test]
+fn cancel_reaches_a_job_migrated_onto_a_peer_queue() {
+    // Regression: cancel searched only the owner's queue, so a job that
+    // migration had moved onto the peer's queue reported `Running` and was
+    // solved anyway.
+    let journals = one_journal_per_shard(2);
+    let cluster = ClusterService::new(ClusterConfig {
+        shards: 2,
+        service: ServiceConfig { workers: 1, cache_capacity: 16, ..Default::default() },
+        migration_threshold: Some(0),
+        journals: Some(as_journals(&journals)),
+        ..Default::default()
+    });
+    let gate = Arc::new(Gate::default());
+    let _unwedge = OpenOnDrop(Arc::clone(&gate));
+    let session = cluster.session("t", SessionConfig { queue_capacity: 8, ..Default::default() });
+    let submit = |seed| session.submit(JobSpec::new(gated(&BACKLOG_COSTS, &gate), seed)).unwrap();
+
+    // Wedge both workers in decode (the second job may reach the idle
+    // worker by migration or by its pull), then queue two more jobs on the
+    // home shard: a depth spread of 2 migrates one of them to the peer.
+    let running = [submit(0), submit(1)];
+    gate.await_arrivals(2);
+    let migrated_before = cluster.report().migrations;
+    let queued = [submit(2), submit(3)];
+    assert_eq!(cluster.report().migrations, migrated_before + 1);
+    for handle in &queued {
+        assert_eq!(handle.cancel(), CancelStatus::Cancelled, "job {} is still queued", handle.id());
+    }
+
+    gate.open();
+    for handle in &running {
+        assert!(handle.wait().is_ok());
+    }
+    for handle in &queued {
+        assert!(matches!(handle.wait(), Err(JobError::Cancelled)));
+    }
+    session.drain();
+    assert_each_shard_balances(&cluster.shard_reports());
+    let merged = cluster.report();
+    assert_eq!(merged.jobs_cancelled, 2, "{merged}");
+    assert_eq!(merged.jobs_completed, 2, "{merged}");
+    assert_eq!(merged.cache_misses, 2, "one solve per job not cancelled: {merged}");
+
+    // Every record stays in the owner's journal: one completion per job
+    // that ran, one cancellation per job that did not.
+    let home =
+        cluster.shard_for_fingerprint(gated(&BACKLOG_COSTS, &gate).to_qubo().canonical_form().0);
+    assert!(journals[1 - home].events().is_empty(), "the peer journals nothing");
+    let events = journals[home].events();
+    let records = |id: u64| {
+        let of = |e: &&JournalEvent| journaled_id(e) == id;
+        let completed =
+            events.iter().filter(of).filter(|e| matches!(e, JournalEvent::Completed { .. }));
+        let cancelled =
+            events.iter().filter(of).filter(|e| matches!(e, JournalEvent::Cancelled { .. }));
+        (completed.count(), cancelled.count())
+    };
+    for handle in &running {
+        assert_eq!(records(handle.id()), (1, 0), "job {}", handle.id());
+    }
+    for handle in &queued {
+        assert_eq!(records(handle.id()), (0, 1), "job {}", handle.id());
+    }
+    assert!(unfinished(&events).is_empty());
+}
+
+#[test]
 fn admission_meters_predicted_seconds_not_job_count() {
     // Two tenants with *identical* seconds budgets and a frozen clock (no
     // refill): one submits big 64-variable jobs, the other a flood of
@@ -481,6 +550,7 @@ fn admission_meters_predicted_seconds_not_job_count() {
         clock: Some(clock.clone()),
         ..Default::default()
     });
+    let _unwedge = OpenOnDrop(Arc::clone(&gate));
 
     let heavy = cluster.session("heavy", SessionConfig::default());
     let heavy_spec = |seed| {

@@ -476,6 +476,7 @@ fn leader_panic_abandons_the_flight_and_parked_permuted_followers_recover() {
     let session = service.session(SessionConfig { queue_capacity: 8, ..Default::default() });
     let rendezvous = Arc::new(Rendezvous::new(3));
     let release = Arc::new(Release::default());
+    let _unwedge = OpenOnDrop(Arc::clone(&release));
     let costs = vec![5.0, 1.0, 3.0, 4.0];
     let reversed: Vec<f64> = costs.iter().rev().copied().collect();
     let make = |costs: Vec<f64>| -> SharedProblem {

@@ -75,6 +75,17 @@ impl Release {
     }
 }
 
+/// Opens its latch when dropped. Declared after the service, it drops
+/// first, so a failed assertion unwinds through the service's teardown
+/// instead of hanging on a worker still parked in the latch.
+struct OpenOnDrop(Arc<Release>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.open();
+    }
+}
+
 /// A pick-one problem instrumented for forced-overlap coalescing tests.
 struct CoalesceProbe {
     costs: Vec<f64>,
@@ -125,6 +136,7 @@ fn concurrent_duplicates_single_flight_with_one_compile_and_cancel_isolation() {
     let session = service.session(SessionConfig { queue_capacity: 8, ..Default::default() });
     let rendezvous = Arc::new(Rendezvous::new(2));
     let release = Arc::new(Release::default());
+    let _unwedge = OpenOnDrop(Arc::clone(&release));
     let probe: SharedProblem = Arc::new(CoalesceProbe {
         costs: vec![5.0, 1.0, 3.0, 4.0],
         rendezvous: Arc::clone(&rendezvous),
@@ -175,6 +187,7 @@ fn concurrent_duplicates_single_flight_with_one_compile_and_cancel_isolation() {
     let session = service.session(SessionConfig { queue_capacity: 8, ..Default::default() });
     let rendezvous = Arc::new(Rendezvous::new(2));
     let release = Arc::new(Release::default());
+    let _unwedge = OpenOnDrop(Arc::clone(&release));
     let probe: SharedProblem = Arc::new(CoalesceProbe {
         costs: vec![5.0, 1.0, 3.0, 4.0],
         rendezvous: Arc::clone(&rendezvous),
@@ -204,6 +217,7 @@ fn concurrent_duplicates_single_flight_with_one_compile_and_cancel_isolation() {
     let session = service.session(SessionConfig { queue_capacity: 8, ..Default::default() });
     let rendezvous = Arc::new(Rendezvous::new(2));
     let release = Arc::new(Release::default());
+    let _unwedge = OpenOnDrop(Arc::clone(&release));
     let costs = vec![5.0, 1.0, 3.0, 4.0];
     let reversed: Vec<f64> = costs.iter().rev().copied().collect();
     let forward: SharedProblem = Arc::new(CoalesceProbe {
