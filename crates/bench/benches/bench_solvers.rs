@@ -1,7 +1,7 @@
 //! E2/E7 — solver benchmarks: every Fig. 2 route timed on the same QUBO,
 //! annealing scaling with problem size, and the compiled-CSR vs.
-//! model-coupling-scan comparison (`solvers/*`; JSON keys keep their
-//! original `btreemap` name) whose headline ratio is printed
+//! model-coupling-scan comparison (`solvers/*`; the `model` keys time
+//! the `QuboModel` path) whose headline ratio is printed
 //! as `solvers/compiled_speedup` and recorded in `BENCH_solvers.json` at
 //! the workspace root so future PRs have a perf trajectory to diff against.
 
@@ -66,7 +66,7 @@ fn random_assignment(n: usize, rng: &mut StdRng) -> Vec<bool> {
 
 /// One Metropolis sweep on the seed path: every flip delta re-derived from
 /// the model's couplings via `QuboModel::flip_delta` (O(m) per proposal).
-fn sa_sweep_btreemap(q: &QuboModel, x: &mut [bool], t: f64, rng: &mut StdRng) -> f64 {
+fn sa_sweep_model(q: &QuboModel, x: &mut [bool], t: f64, rng: &mut StdRng) -> f64 {
     let mut moved = 0.0;
     for i in 0..q.n_vars() {
         let delta = q.flip_delta(x, i);
@@ -124,7 +124,7 @@ fn sa_sweep_compiled(
     moved
 }
 
-fn bench_compiled_vs_btreemap(c: &mut Criterion) {
+fn bench_compiled_vs_model(c: &mut Criterion) {
     let q = dense_instance();
     let compiled = q.compile();
     let n = q.n_vars();
@@ -133,15 +133,13 @@ fn bench_compiled_vs_btreemap(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("solvers/energy");
     group.sample_size(10);
-    group.bench_function("btreemap", |b| b.iter(|| black_box(q.energy(&x))));
+    group.bench_function("model", |b| b.iter(|| black_box(q.energy(&x))));
     group.bench_function("compiled", |b| b.iter(|| black_box(compiled.energy(&x))));
     group.finish();
 
     let mut group = c.benchmark_group("solvers/flip");
     group.sample_size(10);
-    group.bench_function("btreemap", |b| {
-        b.iter(|| (0..n).map(|i| q.flip_delta(&x, i)).sum::<f64>())
-    });
+    group.bench_function("model", |b| b.iter(|| (0..n).map(|i| q.flip_delta(&x, i)).sum::<f64>()));
     group.bench_function("compiled", |b| {
         b.iter(|| (0..n).map(|i| compiled.flip_delta(&x, i)).sum::<f64>())
     });
@@ -150,10 +148,10 @@ fn bench_compiled_vs_btreemap(c: &mut Criterion) {
     let t = q.max_abs_coefficient();
     let mut group = c.benchmark_group("solvers/sa_sweep");
     group.sample_size(10);
-    group.bench_function("btreemap", |b| {
+    group.bench_function("model", |b| {
         let mut rng = StdRng::seed_from_u64(7);
         let mut x = random_assignment(n, &mut rng);
-        b.iter(|| black_box(sa_sweep_btreemap(&q, &mut x, t, &mut rng)));
+        b.iter(|| black_box(sa_sweep_model(&q, &mut x, t, &mut rng)));
     });
     group.bench_function("neighbor_lists", |b| {
         let adj = q.neighbor_lists();
@@ -181,9 +179,9 @@ fn bench_compiled_vs_btreemap(c: &mut Criterion) {
     };
     let mut rng_a = StdRng::seed_from_u64(13);
     let mut x_a = random_assignment(n, &mut rng_a);
-    let btreemap_ns = time_per(
+    let model_ns = time_per(
         &mut || {
-            black_box(sa_sweep_btreemap(&q, &mut x_a, t, &mut rng_a));
+            black_box(sa_sweep_model(&q, &mut x_a, t, &mut rng_a));
         },
         20,
     );
@@ -214,14 +212,14 @@ fn bench_compiled_vs_btreemap(c: &mut Criterion) {
     // local fields and fresh O(m) recomputation can in principle tip an
     // accept decision, so trajectory equality is not asserted here — value
     // equivalence is proven by `crates/qubo/tests/compiled_matches_model.rs`.
-    let speedup = btreemap_ns / compiled_ns;
+    let speedup = model_ns / compiled_ns;
     let layout_speedup = adjacency_ns / compiled_ns;
     println!(
         "solvers/compiled_speedup: {speedup:.2}x vs coupling-scan path, {layout_speedup:.2}x vs seed \
-         adjacency lists ({n} vars, {} couplings, SA sweep {:.1} µs btreemap / {:.2} µs \
+         adjacency lists ({n} vars, {} couplings, SA sweep {:.1} µs model / {:.2} µs \
          neighbor-lists / {:.2} µs compiled)",
         q.n_interactions(),
-        btreemap_ns / 1e3,
+        model_ns / 1e3,
         adjacency_ns / 1e3,
         compiled_ns / 1e3,
     );
@@ -255,11 +253,11 @@ fn bench_compiled_vs_btreemap(c: &mut Criterion) {
     // because the serde shim has no serializer.
     let json = format!(
         "{{\n  \"bench\": \"solvers\",\n  \"instance\": {{\"n_vars\": {n}, \"density\": 0.05, \
-         \"n_interactions\": {m}}},\n  \"sa_sweep_ns\": {{\"btreemap\": {btreemap_ns:.0}, \
+         \"n_interactions\": {m}}},\n  \"sa_sweep_ns\": {{\"model\": {model_ns:.0}, \
          \"neighbor_lists\": {adjacency_ns:.0}, \"compiled\": {compiled_ns:.0}}},\n  \
-         \"energy_ns\": {{\"btreemap\": {energy_model_ns:.0}, \
+         \"energy_ns\": {{\"model\": {energy_model_ns:.0}, \
          \"compiled\": {energy_compiled_ns:.0}}},\n  \"flip_all_vars_ns\": \
-         {{\"btreemap\": {flip_model_ns:.0}, \"compiled\": {flip_compiled_ns:.0}}},\n  \
+         {{\"model\": {flip_model_ns:.0}, \"compiled\": {flip_compiled_ns:.0}}},\n  \
          \"compiled_speedup\": {speedup:.2},\n  \"layout_speedup\": {layout_speedup:.2}\n}}\n",
         m = q.n_interactions(),
     );
@@ -283,15 +281,15 @@ fn bench_parallel_restarts(c: &mut Criterion) {
         b.iter(|| black_box(simulated_annealing_parallel(&q, &params, 5, threads)));
     });
     group.finish();
-    // Like `runtime/speedup`, the wall-clock ratio here only exceeds 1 on a
-    // multi-core runner; results are bit-identical either way.
+    // The wall-clock ratio here only exceeds 1 on a multi-core runner;
+    // results are bit-identical either way.
 }
 
 criterion_group!(
     benches,
     bench_fig2_routes,
     bench_annealer_scaling,
-    bench_compiled_vs_btreemap,
+    bench_compiled_vs_model,
     bench_parallel_restarts
 );
 criterion_main!(benches);

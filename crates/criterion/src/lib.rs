@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 /// Positional CLI arguments (everything not starting with `-`), parsed
 /// once. Like real Criterion, they act as substring filters over benchmark
-/// ids: `cargo bench --bench bench_runtime -- runtime/compile_once` runs
+/// ids: `cargo bench --bench bench_runtime -- runtime/cost` runs
 /// only the matching benchmarks. Flags (including the `--bench` cargo
 /// appends) are ignored.
 fn filters() -> &'static [String] {

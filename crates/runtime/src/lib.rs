@@ -34,9 +34,7 @@
 //!   longer starve Low — a bypassed lane is served after
 //!   [`scheduler::AGE_AFTER_POPS`] pops), per-session subqueues with
 //!   deficit-round-robin pickup inside each lane (a deep session cannot
-//!   monopolize the pool), and
-//!   [`scheduler::SchedulerPolicy::StrictPriority`] as the legacy
-//!   discipline for comparison;
+//!   monopolize the pool);
 //! - [`submit`] — the asynchronous client API ([`submit::Session`]):
 //!   `submit(JobSpec) -> JobHandle` against a **bounded** per-session queue
 //!   with two backpressure modes ([`submit::Session::try_submit`] returns
@@ -139,7 +137,7 @@ pub mod prelude {
     pub use crate::metrics::{Counter, Metrics, RuntimeReport};
     pub use crate::portfolio::{BackendStats, PortfolioScheduler};
     pub use crate::registry::{RegisteredSolver, SolverRegistry, SolverSpec};
-    pub use crate::scheduler::{SchedulerPolicy, AGE_AFTER_POPS, DRR_QUANTUM};
+    pub use crate::scheduler::{AGE_AFTER_POPS, DRR_QUANTUM};
     pub use crate::service::{
         BackendChoice, JobError, JobOutcome, JobResult, JobSpec, PartialSolution, ServiceConfig,
         SharedProblem, SolverService,

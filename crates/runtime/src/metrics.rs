@@ -273,7 +273,8 @@ impl Metrics {
 }
 
 /// Per-backend portfolio telemetry as exposed in [`RuntimeReport`]: the
-/// EWMA latency/quality estimates the adaptive router actually routes on.
+/// router's latency and quality EWMAs (it routes on the quality EWMA and
+/// prices latency through the calibrated cost model).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendTelemetry {
     /// Backend name.
@@ -281,6 +282,8 @@ pub struct BackendTelemetry {
     /// Solve observations folded into the EWMAs.
     pub observations: u64,
     /// Exponentially-weighted moving average solve latency, seconds.
+    /// Telemetry only: routing prices latency through the calibrated cost
+    /// model ([`BackendTelemetry::predicted_seconds`]).
     pub ewma_latency_seconds: f64,
     /// Exponentially-weighted moving average solution quality (lower is
     /// better; infeasible results are penalized).
@@ -640,7 +643,7 @@ impl RuntimeReport {
             (
                 "backend_ewma_latency_seconds",
                 "gauge",
-                "EWMA solve latency the portfolio router routes on.",
+                "EWMA solve latency (telemetry; routing prices the cost model).",
             ),
             (
                 "backend_ewma_quality",

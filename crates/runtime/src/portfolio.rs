@@ -24,7 +24,9 @@ use std::sync::Mutex;
 pub struct BackendStats {
     /// Jobs routed here so far.
     pub observations: u64,
-    /// EWMA of solve latency in seconds.
+    /// EWMA of solve latency in seconds. Telemetry only: routing prices
+    /// latency through the calibrated cost model, which extrapolates to
+    /// the job's size instead of reusing a raw latency.
     pub ewma_latency: f64,
     /// EWMA of energy quality (0 = at the naive lower bound; higher is
     /// worse; infeasible decodes add a fixed penalty).
@@ -140,34 +142,10 @@ impl PortfolioScheduler {
         filtered
     }
 
-    /// The pre-cost-model ranking (raw latency EWMA seeded by the analytic
-    /// curve, no reliability pricing, no shape extrapolation): an observed
-    /// backend is scored by its EWMA latency alone, however stale or
-    /// unrepresentative of this job's size. Kept as the baseline the
-    /// `runtime/cost` bench measures race-loser waste against.
-    pub fn rank_ewma_only(&self, registry: &SolverRegistry, n_vars: usize) -> Vec<usize> {
-        let shape = CostShape::from_n_vars(n_vars);
-        let eligible = registry.eligible(n_vars);
-        let stats = self.stats.lock_unpoisoned();
-        let mut scored: Vec<(usize, f64)> = eligible
-            .into_iter()
-            .map(|i| {
-                let expected = if stats[i].observations == 0 {
-                    analytic_seconds(&registry.get(i).spec, shape)
-                } else {
-                    stats[i].ewma_latency
-                };
-                (i, expected * (1.0 + QUALITY_WEIGHT * stats[i].ewma_quality))
-            })
-            .collect();
-        scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        scored.into_iter().map(|(i, _)| i).collect()
-    }
-
-    /// Feeds one completed solve back into the router: latency/quality
-    /// EWMAs for scoring, and the cost model's calibration ratio for the
-    /// same backend (observed seconds against the analytic estimate for
-    /// this job's `shape`).
+    /// Feeds one completed solve back into the router: the quality EWMA
+    /// for scoring, the latency EWMA for telemetry, and the cost model's
+    /// calibration ratio for the same backend (observed seconds against
+    /// the analytic estimate for this job's `shape`).
     ///
     /// `quality` should be the normalized energy gap produced by
     /// [`energy_quality`]; `feasible` is the decoded assignment's
@@ -278,6 +256,22 @@ mod tests {
         }
         let rerouted = sched.rank(&reg, 6).first().copied().unwrap();
         assert_eq!(rerouted, sa);
+    }
+
+    #[test]
+    fn fast_tiny_exact_solves_do_not_route_a_large_job_to_exact() {
+        let reg = SolverRegistry::standard();
+        let sched = PortfolioScheduler::new(reg.len());
+        let exact = reg.find("exact").unwrap();
+        // Six fast 4-variable enumerations: a raw latency of 5 µs says
+        // nothing about 2^14 states. The cost model extrapolates along
+        // the analytic curve, so exact stays out of a 14-variable job's
+        // top two (a k=2 race would burn its ~1 ms of wasted work).
+        for _ in 0..6 {
+            sched.record(&reg, exact, CostShape::from_n_vars(4), 5e-6, 0.0, true);
+        }
+        let ranked = sched.rank_costed(&reg, CostShape::from_n_vars(14), |_| false, |_| 1.0);
+        assert!(!ranked[..2].contains(&exact), "exact ranked in the top two: {ranked:?}");
     }
 
     #[test]

@@ -29,11 +29,6 @@
 //!    boundary — across a cluster's shards, idle workers pull from their
 //!    peers' queues instead (see [`crate::cluster`]).
 //!
-//! [`SchedulerPolicy::StrictPriority`] keeps the original
-//! drain-highest-first single-FIFO behavior, both for deployments that
-//! genuinely want strict lanes (and accept starvation) and as the baseline
-//! the `runtime/fairness` bench measures the long-tail latency gap against.
-//!
 //! Everything here is driven under the service's single queue mutex; the
 //! scheduler itself holds no locks and no clocks, so a fixed sequence of
 //! `push`/`pop`/`remove` calls always yields the same job order.
@@ -54,89 +49,6 @@ pub const AGE_AFTER_POPS: u64 = 16;
 /// quantum keeps cheap-job interleaving tight without making expensive
 /// jobs slow to schedule.
 pub const DRR_QUANTUM: u64 = 16;
-
-/// Which queueing discipline the service runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SchedulerPolicy {
-    /// Priority lanes with deterministic aging (no lane starves) and
-    /// per-session deficit-round-robin inside each lane (no session
-    /// monopolizes the pool). The default.
-    #[default]
-    FairShare,
-    /// The legacy discipline: one FIFO per lane, drained strictly
-    /// High → Normal → Low with no aging and no per-session fairness.
-    /// Sustained High traffic starves Low forever and one deep session
-    /// walls off the others; kept for comparison and for callers that
-    /// explicitly want strict lanes.
-    StrictPriority,
-}
-
-/// The service queue under either [`SchedulerPolicy`], maintaining a
-/// running total of the queued jobs' predicted cost. Every enqueue path
-/// (submission, retry re-queue, migration, failover drain, recovery
-/// replay) funnels through [`JobScheduler::push`]/[`JobScheduler::pop`],
-/// so the backlog gauge survives cross-shard job movement without any
-/// caller-side bookkeeping.
-pub(crate) struct JobScheduler {
-    inner: SchedulerImpl,
-    /// Sum of queued jobs' [`QueuedJob::cost`] (predicted microseconds of
-    /// backend time): the estimated seconds of work sitting in this
-    /// queue, which load shedding and `retry_after_hint` are derived
-    /// from.
-    backlog_micros: u64,
-}
-
-enum SchedulerImpl {
-    Fair(FairScheduler),
-    Strict(StrictQueues),
-}
-
-impl JobScheduler {
-    pub(crate) fn new(policy: SchedulerPolicy) -> Self {
-        let inner = match policy {
-            SchedulerPolicy::FairShare => SchedulerImpl::Fair(FairScheduler::new()),
-            SchedulerPolicy::StrictPriority => SchedulerImpl::Strict(StrictQueues::new()),
-        };
-        Self { inner, backlog_micros: 0 }
-    }
-
-    pub(crate) fn push(&mut self, job: QueuedJob) {
-        self.backlog_micros = self.backlog_micros.saturating_add(job.cost);
-        match &mut self.inner {
-            SchedulerImpl::Fair(s) => s.push(job),
-            SchedulerImpl::Strict(s) => s.push(job),
-        }
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<QueuedJob> {
-        let job = match &mut self.inner {
-            SchedulerImpl::Fair(s) => s.pop(),
-            SchedulerImpl::Strict(s) => s.pop(),
-        };
-        if let Some(job) = &job {
-            self.backlog_micros = self.backlog_micros.saturating_sub(job.cost);
-        }
-        job
-    }
-
-    /// Removes a queued job by id (for cancellation); `None` if a worker
-    /// already picked it up or it never existed.
-    pub(crate) fn remove(&mut self, id: u64) -> Option<QueuedJob> {
-        let job = match &mut self.inner {
-            SchedulerImpl::Fair(s) => s.remove(id),
-            SchedulerImpl::Strict(s) => s.remove(id),
-        };
-        if let Some(job) = &job {
-            self.backlog_micros = self.backlog_micros.saturating_sub(job.cost);
-        }
-        job
-    }
-
-    /// Predicted microseconds of backend time currently queued.
-    pub(crate) fn backlog_micros(&self) -> u64 {
-        self.backlog_micros
-    }
-}
 
 /// High → 0, Normal → 1, Low → 2: pop order.
 fn lane_index(priority: JobPriority) -> usize {
@@ -254,17 +166,28 @@ impl Lane {
     }
 }
 
-/// The fair scheduler: three aged lanes of per-session DRR subqueues.
-pub(crate) struct FairScheduler {
+/// The service queue: three aged priority lanes of per-session DRR
+/// subqueues, maintaining a running total of the queued jobs' predicted
+/// cost. Every enqueue path (submission, retry re-queue, migration,
+/// failover drain, recovery replay) funnels through
+/// [`JobScheduler::push`]/[`JobScheduler::pop`], so the backlog gauge
+/// survives cross-shard job movement without any caller-side bookkeeping.
+pub(crate) struct JobScheduler {
     lanes: [Lane; 3],
+    /// Sum of queued jobs' [`QueuedJob::cost`] (predicted microseconds of
+    /// backend time): the estimated seconds of work sitting in this
+    /// queue, which load shedding and `retry_after_hint` are derived
+    /// from.
+    backlog_micros: u64,
 }
 
-impl FairScheduler {
+impl JobScheduler {
     pub(crate) fn new() -> Self {
-        Self { lanes: [Lane::new(), Lane::new(), Lane::new()] }
+        Self { lanes: [Lane::new(), Lane::new(), Lane::new()], backlog_micros: 0 }
     }
 
     pub(crate) fn push(&mut self, job: QueuedJob) {
+        self.backlog_micros = self.backlog_micros.saturating_add(job.cost);
         self.lanes[lane_index(job.spec.options.priority)].push(job);
     }
 
@@ -282,40 +205,21 @@ impl FairScheduler {
                 lane.passed_over += 1;
             }
         }
+        self.backlog_micros = self.backlog_micros.saturating_sub(job.cost);
         Some(job)
     }
 
+    /// Removes a queued job by id (for cancellation); `None` if a worker
+    /// already picked it up or it never existed.
     pub(crate) fn remove(&mut self, id: u64) -> Option<QueuedJob> {
-        self.lanes.iter_mut().find_map(|lane| lane.remove(id))
-    }
-}
-
-/// The legacy strict-priority queue: one FIFO per lane, popped
-/// highest-priority-first with no aging and no per-session fairness.
-pub(crate) struct StrictQueues {
-    lanes: [VecDeque<QueuedJob>; 3],
-}
-
-impl StrictQueues {
-    pub(crate) fn new() -> Self {
-        Self { lanes: [VecDeque::new(), VecDeque::new(), VecDeque::new()] }
+        let job = self.lanes.iter_mut().find_map(|lane| lane.remove(id))?;
+        self.backlog_micros = self.backlog_micros.saturating_sub(job.cost);
+        Some(job)
     }
 
-    pub(crate) fn push(&mut self, job: QueuedJob) {
-        self.lanes[lane_index(job.spec.options.priority)].push_back(job);
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<QueuedJob> {
-        self.lanes.iter_mut().find_map(VecDeque::pop_front)
-    }
-
-    pub(crate) fn remove(&mut self, id: u64) -> Option<QueuedJob> {
-        for lane in &mut self.lanes {
-            if let Some(pos) = lane.iter().position(|job| job.id == id) {
-                return lane.remove(pos);
-            }
-        }
-        None
+    /// Predicted microseconds of backend time currently queued.
+    pub(crate) fn backlog_micros(&self) -> u64 {
+        self.backlog_micros
     }
 }
 
@@ -385,20 +289,8 @@ mod tests {
     }
 
     #[test]
-    fn strict_policy_preserves_legacy_lane_order() {
-        let mut sched = JobScheduler::new(SchedulerPolicy::StrictPriority);
-        let s = session(0);
-        sched.push(job(0, &s, JobPriority::Normal, 4));
-        sched.push(job(1, &s, JobPriority::High, 4));
-        sched.push(job(2, &s, JobPriority::Low, 4));
-        sched.push(job(3, &s, JobPriority::Normal, 4));
-        assert_eq!(pop_ids(&mut sched), vec![1, 0, 3, 2]);
-        assert!(sched.pop().is_none());
-    }
-
-    #[test]
     fn aged_low_job_is_served_within_the_bound_under_sustained_high_traffic() {
-        let mut sched = JobScheduler::new(SchedulerPolicy::FairShare);
+        let mut sched = JobScheduler::new();
         let s = session(0);
         for id in 0..100 {
             sched.push(job(id, &s, JobPriority::High, 4));
@@ -413,7 +305,7 @@ mod tests {
 
     #[test]
     fn low_lane_receives_periodic_bandwidth_not_a_single_pop() {
-        let mut sched = JobScheduler::new(SchedulerPolicy::FairShare);
+        let mut sched = JobScheduler::new();
         let s = session(0);
         for id in 0..100 {
             sched.push(job(id, &s, JobPriority::High, 4));
@@ -432,7 +324,7 @@ mod tests {
 
     #[test]
     fn aging_escalates_normal_before_low() {
-        let mut sched = JobScheduler::new(SchedulerPolicy::FairShare);
+        let mut sched = JobScheduler::new();
         let s = session(0);
         for id in 0..60 {
             sched.push(job(id, &s, JobPriority::High, 4));
@@ -449,7 +341,7 @@ mod tests {
 
     #[test]
     fn sessions_in_one_lane_interleave_round_robin() {
-        let mut sched = JobScheduler::new(SchedulerPolicy::FairShare);
+        let mut sched = JobScheduler::new();
         let (a, b) = (session(1), session(2));
         for id in 0..10 {
             sched.push(job(id, &a, JobPriority::Normal, 6));
@@ -466,7 +358,7 @@ mod tests {
 
     #[test]
     fn expensive_jobs_do_not_wall_off_a_cheap_session() {
-        let mut sched = JobScheduler::new(SchedulerPolicy::FairShare);
+        let mut sched = JobScheduler::new();
         let (big, small) = (session(1), session(2));
         for id in 0..3 {
             sched.push(job(id, &big, JobPriority::Normal, 32));
@@ -483,7 +375,7 @@ mod tests {
 
     #[test]
     fn remove_prunes_empty_subqueues_and_preserves_the_rest() {
-        let mut sched = JobScheduler::new(SchedulerPolicy::FairShare);
+        let mut sched = JobScheduler::new();
         let (a, b) = (session(1), session(2));
         sched.push(job(0, &a, JobPriority::Normal, 4));
         sched.push(job(1, &a, JobPriority::Normal, 4));
@@ -500,7 +392,7 @@ mod tests {
 
     #[test]
     fn a_huge_cost_job_is_served_without_quantum_sized_spinning() {
-        let mut sched = JobScheduler::new(SchedulerPolicy::FairShare);
+        let mut sched = JobScheduler::new();
         let s = session(0);
         // Cost far beyond one quantum: the stall laps must be
         // fast-forwarded arithmetically, and the job still pops.
@@ -520,7 +412,7 @@ mod tests {
 
     #[test]
     fn emptying_a_lane_by_removal_resets_its_age() {
-        let mut sched = JobScheduler::new(SchedulerPolicy::FairShare);
+        let mut sched = JobScheduler::new();
         let s = session(0);
         for id in 0..40 {
             sched.push(job(id, &s, JobPriority::High, 4));
@@ -542,7 +434,7 @@ mod tests {
 
     #[test]
     fn drr_meters_predicted_microseconds_so_a_cheap_session_is_never_walled_off() {
-        let mut sched = JobScheduler::new(SchedulerPolicy::FairShare);
+        let mut sched = JobScheduler::new();
         let (heavy, light) = (session(1), session(2));
         // Costs are predicted microseconds: three ~50ms jobs against ten
         // ~0.5ms jobs. The currency is seconds of backend time, so the
@@ -562,7 +454,7 @@ mod tests {
 
     #[test]
     fn backlog_tracks_pushes_pops_and_removals() {
-        let mut sched = JobScheduler::new(SchedulerPolicy::FairShare);
+        let mut sched = JobScheduler::new();
         let s = session(0);
         assert_eq!(sched.backlog_micros(), 0);
         sched.push(job(0, &s, JobPriority::Normal, 1000));
@@ -573,17 +465,11 @@ mod tests {
         assert!(sched.pop().is_some());
         assert_eq!(sched.backlog_micros(), 0);
         assert!(sched.pop().is_none());
-        // The strict policy meters the same backlog.
-        let mut strict = JobScheduler::new(SchedulerPolicy::StrictPriority);
-        strict.push(job(2, &s, JobPriority::High, 42));
-        assert_eq!(strict.backlog_micros(), 42);
-        assert!(strict.pop().is_some());
-        assert_eq!(strict.backlog_micros(), 0);
     }
 
     #[test]
     fn fair_pop_drains_exactly_what_was_pushed() {
-        let mut sched = JobScheduler::new(SchedulerPolicy::FairShare);
+        let mut sched = JobScheduler::new();
         let (a, b) = (session(1), session(2));
         let mut pushed = Vec::new();
         for id in 0..20 {

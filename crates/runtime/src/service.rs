@@ -41,7 +41,7 @@ use crate::journal::{unfinished, Journal, JournalEvent, SolutionSnapshot, Submit
 use crate::metrics::{BackendTelemetry, Counter, Metrics, RuntimeReport};
 use crate::portfolio::{energy_quality, PortfolioScheduler};
 use crate::registry::SolverRegistry;
-use crate::scheduler::{JobScheduler, SchedulerPolicy};
+use crate::scheduler::JobScheduler;
 use crate::submit::SessionCore;
 use crate::sync::{CondvarExt, LockExt};
 use crate::trace::{
@@ -517,10 +517,6 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Result-cache capacity (entries).
     pub cache_capacity: usize,
-    /// Queueing discipline (default: [`SchedulerPolicy::FairShare`] —
-    /// priority lanes with deterministic aging plus per-session
-    /// deficit-round-robin; see [`crate::scheduler`]).
-    pub scheduling: SchedulerPolicy,
     /// Job tracing (default: a bounded in-service ring of
     /// [`DEFAULT_TRACE_CAPACITY`] traces; see [`crate::trace`]).
     pub tracing: TraceConfig,
@@ -560,7 +556,6 @@ impl Default for ServiceConfig {
         Self {
             workers: cores::hardware_threads(),
             cache_capacity: 4096,
-            scheduling: SchedulerPolicy::default(),
             tracing: TraceConfig::default(),
             shard: None,
             epoch: None,
@@ -578,7 +573,6 @@ impl std::fmt::Debug for ServiceConfig {
         f.debug_struct("ServiceConfig")
             .field("workers", &self.workers)
             .field("cache_capacity", &self.cache_capacity)
-            .field("scheduling", &self.scheduling)
             .field("tracing", &self.tracing)
             .field("shard", &self.shard)
             .field("epoch", &self.epoch)
@@ -678,7 +672,7 @@ impl SolverService {
             inflight: FlightTable::new(),
             portfolio: PortfolioScheduler::new(n_backends),
             metrics: Metrics::new(),
-            queue: Mutex::new(JobScheduler::new(config.scheduling)),
+            queue: Mutex::new(JobScheduler::new()),
             job_ready: Condvar::new(),
             shutting_down: AtomicBool::new(false),
             next_job_id: AtomicU64::new(0),

@@ -186,13 +186,9 @@ fn a_deep_session_cannot_monopolize_the_pool_against_a_light_one() {
 }
 
 #[test]
-fn strict_priority_policy_preserves_the_legacy_drain_order() {
-    let service = SolverService::new(ServiceConfig {
-        workers: 1,
-        cache_capacity: 256,
-        scheduling: SchedulerPolicy::StrictPriority,
-        ..Default::default()
-    });
+fn mixed_priority_two_session_backlog_drains_in_a_pinned_fair_order() {
+    let service =
+        SolverService::new(ServiceConfig { workers: 1, cache_capacity: 256, ..Default::default() });
     let deep = service.session(SessionConfig { queue_capacity: 32, ..Default::default() });
     let light = service.session(SessionConfig { queue_capacity: 8, ..Default::default() });
     let gate = Arc::new(Gate::default());
@@ -210,9 +206,10 @@ fn strict_priority_policy_preserves_the_legacy_drain_order() {
     light.drain();
     assert!(blocker.wait().is_ok());
 
-    // Legacy semantics on request: strict lane order, FIFO within a lane,
-    // no per-session interleaving — the light session's Normal job waits
-    // behind the deep session's entire backlog.
+    // The High lane goes first. In the Normal lane the 5-cost jobs meet
+    // DRR_QUANTUM = 16 credit: the deep session serves three, the light
+    // session's one job runs, then the deep session's last — a strict
+    // FIFO lane would have kept "light" waiting behind all four.
     let order = log.lock().unwrap().clone();
-    assert_eq!(order, vec!["urgent", "deep", "deep", "deep", "deep", "light"]);
+    assert_eq!(order, vec!["urgent", "deep", "deep", "deep", "light", "deep"]);
 }
