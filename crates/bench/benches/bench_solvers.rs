@@ -169,7 +169,11 @@ fn bench_compiled_vs_model(c: &mut Criterion) {
     group.finish();
 
     // Headline numbers: identical sweep trajectories timed directly on both
-    // paths, plus single-shot energy/flip timings for the JSON baseline.
+    // paths, plus energy/flip timings for the JSON baseline. Every path is
+    // timed once per round and the rounds alternate the paths, so machine
+    // drift hits each of them alike; the baseline reports per-path medians
+    // over the rounds, so one descheduled batch cannot move the speedup.
+    const ROUNDS: usize = 9;
     let time_per = |f: &mut dyn FnMut(), reps: usize| -> f64 {
         let t0 = Instant::now();
         for _ in 0..reps {
@@ -177,23 +181,15 @@ fn bench_compiled_vs_model(c: &mut Criterion) {
         }
         t0.elapsed().as_secs_f64() * 1e9 / reps as f64
     };
+    let median = |mut samples: Vec<f64>| -> f64 {
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2]
+    };
     let mut rng_a = StdRng::seed_from_u64(13);
     let mut x_a = random_assignment(n, &mut rng_a);
-    let model_ns = time_per(
-        &mut || {
-            black_box(sa_sweep_model(&q, &mut x_a, t, &mut rng_a));
-        },
-        20,
-    );
     let mut rng_b = StdRng::seed_from_u64(13);
     let mut x_b = random_assignment(n, &mut rng_b);
     let mut fields_b = compiled.local_fields(&x_b);
-    let compiled_ns = time_per(
-        &mut || {
-            black_box(sa_sweep_compiled(&compiled, &mut x_b, &mut fields_b, t, &mut rng_b));
-        },
-        2000,
-    );
     // The seed-style incremental sweep over Vec-of-Vec adjacency: the
     // honest measure of what the CSR layout itself bought, since the seed
     // annealers never paid the O(m) coupling scan per proposal.
@@ -201,12 +197,67 @@ fn bench_compiled_vs_model(c: &mut Criterion) {
     let mut rng_c = StdRng::seed_from_u64(13);
     let mut x_c = random_assignment(n, &mut rng_c);
     let mut fields_c = compiled.local_fields(&x_c);
-    let adjacency_ns = time_per(
-        &mut || {
-            black_box(sa_sweep_neighbor_lists(&adj, &mut x_c, &mut fields_c, t, &mut rng_c));
-        },
-        2000,
-    );
+    // Per path, one sample per round: SA sweep on the model, the neighbor
+    // lists and the compiled form; energy on the model and the compiled
+    // form; a flip of every variable on the model and the compiled form.
+    let mut samples: [Vec<f64>; 7] = Default::default();
+    for _ in 0..ROUNDS {
+        let round = [
+            time_per(
+                &mut || {
+                    black_box(sa_sweep_model(&q, &mut x_a, t, &mut rng_a));
+                },
+                20,
+            ),
+            time_per(
+                &mut || {
+                    black_box(sa_sweep_neighbor_lists(
+                        &adj,
+                        &mut x_c,
+                        &mut fields_c,
+                        t,
+                        &mut rng_c,
+                    ));
+                },
+                2000,
+            ),
+            time_per(
+                &mut || {
+                    black_box(sa_sweep_compiled(&compiled, &mut x_b, &mut fields_b, t, &mut rng_b));
+                },
+                2000,
+            ),
+            time_per(
+                &mut || {
+                    black_box(q.energy(&x));
+                },
+                200,
+            ),
+            time_per(
+                &mut || {
+                    black_box(compiled.energy(&x));
+                },
+                200,
+            ),
+            time_per(
+                &mut || {
+                    black_box((0..n).map(|i| q.flip_delta(&x, i)).sum::<f64>());
+                },
+                50,
+            ),
+            time_per(
+                &mut || {
+                    black_box((0..n).map(|i| compiled.flip_delta(&x, i)).sum::<f64>());
+                },
+                50,
+            ),
+        ];
+        for (path, sample) in samples.iter_mut().zip(round) {
+            path.push(sample);
+        }
+    }
+    let [model_ns, adjacency_ns, compiled_ns, energy_model_ns, energy_compiled_ns, flip_model_ns, flip_compiled_ns] =
+        samples.map(median);
     // The paths start identically seeded and virtually always walk the
     // same trajectory, but low-bit float differences between incremental
     // local fields and fresh O(m) recomputation can in principle tip an
@@ -217,36 +268,11 @@ fn bench_compiled_vs_model(c: &mut Criterion) {
     println!(
         "solvers/compiled_speedup: {speedup:.2}x vs coupling-scan path, {layout_speedup:.2}x vs seed \
          adjacency lists ({n} vars, {} couplings, SA sweep {:.1} µs model / {:.2} µs \
-         neighbor-lists / {:.2} µs compiled)",
+         neighbor-lists / {:.2} µs compiled; medians of {ROUNDS} alternating rounds)",
         q.n_interactions(),
         model_ns / 1e3,
         adjacency_ns / 1e3,
         compiled_ns / 1e3,
-    );
-
-    let energy_model_ns = time_per(
-        &mut || {
-            black_box(q.energy(&x));
-        },
-        200,
-    );
-    let energy_compiled_ns = time_per(
-        &mut || {
-            black_box(compiled.energy(&x));
-        },
-        200,
-    );
-    let flip_model_ns = time_per(
-        &mut || {
-            black_box((0..n).map(|i| q.flip_delta(&x, i)).sum::<f64>());
-        },
-        50,
-    );
-    let flip_compiled_ns = time_per(
-        &mut || {
-            black_box((0..n).map(|i| compiled.flip_delta(&x, i)).sum::<f64>());
-        },
-        50,
     );
 
     // Machine-readable baseline at the workspace root; hand-rolled JSON

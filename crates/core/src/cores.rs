@@ -2,10 +2,10 @@
 //! threads.
 //!
 //! A solver service runs one job per worker thread, and a job's backend may
-//! fan out further (parallel annealing restarts, colored sweeps, race
-//! participants). Without a shared ledger each fan-out sizes itself to the
-//! whole machine, so a saturated service oversubscribes every core. This
-//! module keeps one count for the process:
+//! fan out further (parallel annealing restarts, colored sweeps). Without a
+//! shared ledger each fan-out sizes itself to the whole machine, so a
+//! saturated service oversubscribes every core. This module keeps one count
+//! for the process:
 //!
 //! - [`hardware_threads`] — the machine's hardware threads, read once;
 //! - [`occupy`] — an RAII [`Occupancy`] marking the calling thread as

@@ -123,9 +123,8 @@ pub fn run_pipeline_with_qubo(
 /// final energy check — runs on the *same* `compiled` form, so a job
 /// compiles exactly once on the fast path (no presolve/decompose). This is
 /// the entry point `qdm-runtime` drives: it compiles each cache-miss job
-/// into one `Arc<CompiledQubo>`, fingerprints it, and hands the same
-/// compilation to every backend (including all participants of a portfolio
-/// race).
+/// into one `Arc<CompiledQubo>` and hands that compilation to presolve and
+/// to the backend it routes the job to.
 ///
 /// `compiled` must be the compilation of exactly `qubo`, which must be
 /// exactly `problem.to_qubo()`. Results are bit-identical to the historical
@@ -144,11 +143,9 @@ pub fn run_pipeline_compiled(
 
 /// The deterministic, seed-independent front half of the compiled pipeline
 /// — presolve and connected-component decomposition — computed **once per
-/// job** and shared by every backend that solves it. A portfolio race hands
-/// the same `PreparedPipeline` to all k participants, so the fixpoint
-/// rounds, component extraction, and the reduced/component compilations are
-/// paid once instead of k times; a single-backend job goes through the same
-/// type via [`run_pipeline_compiled`].
+/// job**: the fixpoint rounds, component extraction, and the
+/// reduced/component compilations are paid once, and
+/// [`run_pipeline_compiled`] goes through the same type.
 pub struct PreparedPipeline<'a> {
     /// The full-model compilation (final energies are evaluated on it).
     compiled: &'a CompiledQubo,
@@ -165,8 +162,8 @@ pub struct PreparedPipeline<'a> {
     comps: Option<Vec<(CompiledQubo, Vec<usize>)>>,
     max_sub: usize,
     components: usize,
-    /// Wall time the preparation itself took, folded into every
-    /// participant's reported `seconds`.
+    /// Wall time the preparation itself took, folded into the solve's
+    /// reported `seconds`.
     prepare_seconds: f64,
 }
 
@@ -174,7 +171,7 @@ pub struct PreparedPipeline<'a> {
 /// job's compilation for its first round) and component
 /// discovery/compilation. `compiled` must be the compilation of exactly
 /// `qubo`. Deterministic — no RNG is consumed — so the result is
-/// participant-independent by construction.
+/// backend-independent by construction.
 pub fn prepare_pipeline<'a>(
     qubo: &'a QuboModel,
     compiled: &'a CompiledQubo,
@@ -204,8 +201,7 @@ pub fn prepare_pipeline<'a>(
     };
 
     // Stage 2a: decomposition. Component models are fresh extractions;
-    // each compiles once here and every participant solves the shared
-    // compilation.
+    // each compiles once here and the solve runs on that compilation.
     let (comps, max_sub, components) = if options.decompose {
         let comps: Vec<(CompiledQubo, Vec<usize>)> = work_qubo
             .connected_components_with(&work_compiled)
@@ -233,7 +229,7 @@ pub fn prepare_pipeline<'a>(
     }
 }
 
-/// The per-participant back half: solve (the only stage that consumes the
+/// The per-backend back half: solve (the only stage that consumes the
 /// RNG), repair, decode. `options` must be the same options the
 /// preparation was built with. Results are bit-identical to the historical
 /// single-pass pipeline — component solves run on compilations of exactly

@@ -48,8 +48,8 @@ pub enum SolverKind {
 ///
 /// [`QuboSolver::solve_compiled`] is the **primary** entry point: it accepts
 /// an existing [`CompiledQubo`], which is what lets the runtime compile each
-/// job exactly once and dispatch the same shared compilation to many
-/// backends (a portfolio race solves one `Arc<CompiledQubo>` k ways).
+/// job exactly once and share that compilation between presolve and the
+/// backend that solves it.
 /// [`QuboSolver::solve`] is a convenience wrapper that compiles and
 /// delegates, so `solve(q, rng)` and `solve_compiled(&q.compile(), rng)` are
 /// bit-identical by construction.

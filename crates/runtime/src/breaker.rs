@@ -7,8 +7,7 @@
 //! to `Open`: the portfolio ranking excludes the backend, so traffic
 //! degrades to the remaining portfolio instead of burning retries on a
 //! dead executor — never to zero, though: when every eligible backend is
-//! open, the best-ranked one stays eligible (see
-//! [`crate::portfolio::PortfolioScheduler::rank_costed`]). After
+//! open, the best-ranked one stays eligible. After
 //! [`BreakerConfig::cooldown`] on the injectable [`Clock`], the next
 //! ranking moves the breaker to `HalfOpen`: probe traffic is allowed
 //! through, one success re-closes the breaker, one failure re-opens it
@@ -133,7 +132,7 @@ impl CircuitBreakers {
 
     /// The cost-model capacity discount for `backend`'s current breaker
     /// state: 1.0 closed, 0.5 half-open (probe traffic only — price it up
-    /// so races prefer proven backends), 0.25 open (an open breaker that
+    /// so quotes prefer proven backends), 0.25 open (an open breaker that
     /// has cooled down reads as half-open). Side-effect free: no state
     /// transition, no metrics — pricing must be able to quote a backend
     /// without acting as its half-open probe.

@@ -35,15 +35,15 @@
 //!    [`crate::breaker`]) rather than merely excluding it from one
 //!    ranking.
 //! 4. **Routing** ([`CostModel::expected_routing_seconds`]) — the variant
-//!    backends are *compared* on when a route or race lineup is chosen.
+//!    backends are *compared* on when a route is chosen.
 //!    Calibration enters as the backend's quantized deviation from the
 //!    fleet-wide common-mode ratio instead of the raw EWMA, so uniform
 //!    environment slowness and measurement jitter cannot flip a routing
 //!    decision — identical job streams route identically, which the
 //!    crash-safe runtime's deterministic recovery depends on.
 //!
-//! Consumers: [`crate::portfolio::PortfolioScheduler`] routes and picks
-//! race participants by expected seconds; the DRR scheduler
+//! Consumers: [`crate::portfolio::PortfolioScheduler`] routes by expected
+//! seconds; the DRR scheduler
 //! ([`crate::scheduler`]) charges predicted microseconds per job; the
 //! cluster's [`crate::cluster::AdmissionConfig`] token buckets drain by
 //! predicted seconds; watermark shedding and `retry_after_hint` derive
@@ -143,7 +143,7 @@ fn clamp_seconds(x: f64) -> f64 {
 /// charging) only know the variable count and use
 /// [`CostShape::from_n_vars`], which assumes the bounded coupling degree
 /// the presolve typically leaves behind. Decisions made after compilation
-/// (racing inside a worker) pass the compiled model's real
+/// (routing inside a worker) pass the compiled model's real
 /// [`qdm_qubo::compiled::CompiledQubo::avg_degree`] via
 /// [`CostShape::with_degree`].
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -33,10 +33,10 @@ pub enum FaultSite {
     Compile,
     /// Before presolve/decomposition prepares the pipeline.
     Presolve,
-    /// Before a participant backend starts solving. The injector receives
-    /// the backend's name, so a plan can target one backend of a race.
+    /// Before the routed backend starts solving. The injector receives
+    /// the backend's name, so a plan can target one backend.
     Solve,
-    /// After the winner is picked, before the result is cached and served.
+    /// After the backend solved, before the result is cached and served.
     Serve,
 }
 

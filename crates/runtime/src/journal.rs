@@ -25,7 +25,8 @@
 //! `u32` payload length followed by the payload, appended and flushed per
 //! event. Readers tolerate a torn tail (a record cut short by the crash is
 //! ignored, never misparsed), and reopening the log cuts that tail off
-//! before the next append — the standard WAL recovery contract.
+//! before the next append — the standard WAL recovery contract. A log
+//! written in another codec version is refused on open, never cut.
 
 use crate::service::{BackendChoice, JobSpec, SharedProblem};
 use crate::sync::LockExt;
@@ -39,8 +40,10 @@ use std::sync::{Arc, Mutex};
 
 /// Version byte leading every journal record. Recovery keys on job ids; the
 /// fingerprint in a `Completed` record is informational, so a change of
-/// fingerprint hash leaves this version alone.
-const JOURNAL_CODEC_VERSION: u8 = 1;
+/// fingerprint hash leaves this version alone. Version 1 logs could carry a
+/// third backend-choice tag that this build no longer has;
+/// [`FileJournal::open`] refuses a log of any other version.
+const JOURNAL_CODEC_VERSION: u8 = 2;
 
 /// Magic prefix of a serialized [`SolutionSnapshot`].
 const SNAPSHOT_MAGIC: &[u8; 7] = b"QDMSNAP";
@@ -258,10 +261,6 @@ fn put_backend(out: &mut Vec<u8>, backend: &BackendChoice) {
             out.push(1);
             put_string(out, name);
         }
-        BackendChoice::Race { k } => {
-            out.push(2);
-            put_u64(out, *k as u64);
-        }
     }
 }
 
@@ -269,7 +268,6 @@ fn read_backend(r: &mut Reader<'_>) -> Option<BackendChoice> {
     match r.u8()? {
         0 => Some(BackendChoice::Auto),
         1 => Some(BackendChoice::Named(r.string()?)),
-        2 => Some(BackendChoice::Race { k: usize::try_from(r.u64()?).ok()? }),
         _ => None,
     }
 }
@@ -424,12 +422,26 @@ impl FileJournal {
     /// Opens (creating if absent) the journal at `path` for appending.
     /// Existing whole records are preserved and served by
     /// [`Journal::events`]; a torn or corrupt tail left by a crash is cut
-    /// off first.
+    /// off first. A whole record written in another codec version is no
+    /// tail: the open fails with [`io::ErrorKind::InvalidData`] and leaves
+    /// the file as it found it.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         let buf = std::fs::read(&path)?;
         let (_, whole) = decode_records(&buf);
+        if let Some(version) = whole_record_version(&buf[whole..]) {
+            if version != JOURNAL_CODEC_VERSION {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "{}: record at byte {whole} has journal codec version {version}, \
+                         this build reads version {JOURNAL_CODEC_VERSION}",
+                        path.display()
+                    ),
+                ));
+            }
+        }
         if whole < buf.len() {
             file.set_len(whole as u64)?;
         }
@@ -481,6 +493,13 @@ fn decode_records(buf: &[u8]) -> (Vec<JournalEvent>, usize) {
         pos = end;
     }
     (events, pos)
+}
+
+/// The version byte of the record `buf` starts with, when the whole record
+/// is there; `None` for a record a crash cut short.
+fn whole_record_version(buf: &[u8]) -> Option<u8> {
+    let len = u32::from_le_bytes(buf.get(..4)?.try_into().expect("4 bytes")) as usize;
+    buf.get(4..)?.get(..len)?.first().copied()
 }
 
 /// The submissions in `events` with no terminal (`Completed`/`Cancelled`)
@@ -713,7 +732,7 @@ mod tests {
             options_bits: 0b101,
             priority: JobPriority::High,
             seed: 42 + job_id,
-            backend: BackendChoice::Race { k: 2 },
+            backend: BackendChoice::Auto,
             tenant: Some("tenant-a".into()),
             shard: Some(3),
         })
@@ -835,6 +854,87 @@ mod tests {
         let open: Vec<u64> = unfinished(&events).iter().map(|r| r.job_id).collect();
         assert_eq!(open, vec![2]);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_journal_of_another_codec_version_is_refused_and_left_intact() {
+        let dir = std::env::temp_dir().join("qdm-journal-test");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        for version in [JOURNAL_CODEC_VERSION - 1, JOURNAL_CODEC_VERSION + 1] {
+            let path = dir.join(format!("wal-v{version}-{}.log", std::process::id()));
+            let _ = std::fs::remove_file(&path);
+            {
+                let journal = FileJournal::open(&path).expect("open");
+                journal.append(submitted(1));
+                journal.append(JournalEvent::Completed { job_id: 1, fingerprint: 7 });
+            }
+            // Rewrite every record's version byte, as a build writing
+            // another codec version would have left the log.
+            let mut raw = std::fs::read(&path).expect("read");
+            let mut pos = 0;
+            while pos < raw.len() {
+                let len = u32::from_le_bytes(raw[pos..pos + 4].try_into().unwrap()) as usize;
+                raw[pos + 4] = version;
+                pos += 4 + len;
+            }
+            std::fs::write(&path, &raw).expect("rewrite");
+
+            let err = FileJournal::open(&path).expect_err("another version is refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert_eq!(std::fs::read(&path).expect("read"), raw, "the log is left untouched");
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    /// Lowercase hex of `bytes`.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The encoded bytes of three fixed records, past the version byte. A
+    /// codec change that grows a record grows every journaled job's WAL
+    /// footprint, so these stay pinned.
+    #[test]
+    fn record_encodings_are_pinned() {
+        let record = |backend| {
+            JournalEvent::Submitted(SubmittedRecord {
+                job_id: 5,
+                problem: "mqo".into(),
+                qubo: sample_qubo(),
+                options_bits: 0b001,
+                priority: JobPriority::Normal,
+                seed: 11,
+                backend,
+                tenant: None,
+                shard: None,
+            })
+        };
+        let encoded: Vec<String> = [
+            record(BackendChoice::Auto),
+            record(BackendChoice::Named("tabu".into())),
+            JournalEvent::Completed { job_id: 5, fingerprint: 0x0123_4567_89AB_CDEF },
+        ]
+        .iter()
+        .map(|event| {
+            let bytes = event.to_bytes();
+            assert_eq!(bytes[0], JOURNAL_CODEC_VERSION);
+            hex(&bytes[1..])
+        })
+        .collect();
+        let qubo = "4900000000000000010300000000000000000000000000f83f0000000000000000000000000000e0bf\
+                    0100000000000000000000000000000001000000000000000000000000000040000000000000d03f";
+        // Tag, job id, problem name, model, options, priority, seed; then
+        // the backend, the (absent) tenant and the (absent) shard.
+        let submitted =
+            format!("00050000000000000003000000000000006d716f{qubo}01000b00000000000000");
+        assert_eq!(
+            encoded,
+            [
+                format!("{submitted}00_00_00").replace('_', ""),
+                format!("{submitted}01_040000000000000074616275_00_00").replace('_', ""),
+                "01_0500000000000000_efcdab8967452301".replace('_', ""),
+            ]
+        );
     }
 
     #[test]

@@ -20,12 +20,11 @@
 //! - [`service`] — the worker pool and fair-scheduled job queue
 //!   ([`service::SolverService`]): each cache-miss job compiles its QUBO
 //!   **exactly once** into a shared `Arc<CompiledQubo>` — presolve and
-//!   every dispatched backend run on that one compilation
+//!   the dispatched backend run on that one compilation
 //!   via [`qdm_core::pipeline::run_pipeline_compiled`] — and each job runs
-//!   under its own seeded RNG, so results are reproducible regardless of
-//!   scheduling. [`service::BackendChoice::Race`] races the portfolio's
-//!   top-k backends on the shared compilation with a deterministic
-//!   energy-then-rank winner pick. Concurrent duplicates of the same work
+//!   on the one backend routing picks, under its own seeded RNG, so
+//!   results are reproducible regardless of scheduling. Concurrent
+//!   duplicates of the same work
 //!   identity **single-flight**: one leader solves, parked followers are
 //!   served its result through the cache-hit translation (counted as
 //!   `jobs_coalesced`, never as a second solve);
@@ -55,11 +54,10 @@
 //!   without re-solving;
 //!   per-shard eviction is second-chance (CLOCK), so hot fingerprints
 //!   survive churn plain FIFO would evict them under;
-//! - [`portfolio`] — the adaptive scheduler routing (and, for races,
-//!   ranking) each job by size and observed latency/energy-quality
-//!   telemetry, including per-backend race entries/wins;
-//! - [`metrics`] — counters (including queue depth, backpressure,
-//!   cancellations, compile time saved by sharing, and race wins),
+//! - [`portfolio`] — the adaptive scheduler routing each job by size and
+//!   observed latency/energy-quality telemetry;
+//! - [`metrics`] — counters (including queue depth, backpressure, and
+//!   cancellations),
 //!   log-scale latency histograms (solve time and caller-observed serve
 //!   time) with quantile estimation, and the [`metrics::RuntimeReport`]
 //!   snapshot with Prometheus text exposition
@@ -75,8 +73,8 @@
 //!   retry hint), and deterministic cross-shard queue migration — results
 //!   stay bit-identical to a single-shard run under fixed seeds;
 //! - [`trace`] — structured per-job span timelines
-//!   (`queued → compiled → presolved → backend solve → served`, with race
-//!   participants as winner/loser child spans) recorded into a bounded
+//!   (`queued → compiled → presolved → backend solve → served`) recorded
+//!   into a bounded
 //!   drop-counting ring ([`trace::TraceRing`]) and exported as Chrome
 //!   `trace_event` JSON via [`service::SolverService::export_traces`];
 //!   solver-internal stage counters flow in through

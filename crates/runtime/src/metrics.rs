@@ -149,9 +149,7 @@ pub struct Metrics {
     served_latency: [AtomicU64; LATENCY_BUCKETS],
     solve_seconds_total_micros: AtomicU64,
     served_seconds_total_micros: AtomicU64,
-    compile_saved_nanos: AtomicU64,
     per_backend: Mutex<BTreeMap<String, u64>>,
-    race_wins: Mutex<BTreeMap<String, u64>>,
 }
 
 impl Metrics {
@@ -217,52 +215,22 @@ impl Metrics {
         self.counters[Counter::QueueDepthPeak as usize].fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// Records compile time the compile-once pipeline avoided: a job whose
-    /// single compilation (taking `compile_seconds`) served `consumers`
-    /// dispatched backends would have compiled once per backend, so
-    /// `(consumers - 1) × compile_seconds` was saved — nothing for a
-    /// single-backend job. (The cache key never needs a compilation: it is
-    /// the uncompiled model's canonical fingerprint.)
-    pub fn on_compile_shared(&self, compile_seconds: f64, consumers: u64) {
-        let saved = compile_seconds * consumers.saturating_sub(1) as f64;
-        self.compile_saved_nanos.fetch_add((saved * 1e9).max(0.0) as u64, Ordering::Relaxed);
-    }
-
-    /// Records backend wall time burned by a race's *non-winning*
-    /// participants (the winner's time arrives via [`Self::on_solved`]), so
-    /// [`RuntimeReport::solve_seconds_total`] stays an honest sum of all
-    /// backend work instead of under-reporting races k-fold.
-    pub fn on_race_participant_time(&self, seconds: f64) {
-        let micros = (seconds * 1e6).max(0.0) as u64;
-        self.solve_seconds_total_micros.fetch_add(micros, Ordering::Relaxed);
-    }
-
-    /// Records a completed portfolio race and its winning backend.
-    pub fn on_race(&self, winner: &str) {
-        self.inc(Counter::RaceJobs);
-        *self.race_wins.lock_unpoisoned().entry(winner.to_string()).or_insert(0) += 1;
-    }
-
-    /// Snapshots every counter into an immutable report. Map-like fields
-    /// come out sorted by backend name, so equal states always produce
-    /// equal reports. The portfolio-telemetry and trace fields are empty
-    /// here — [`crate::service::SolverService::report`] fills them in.
+    /// Snapshots every counter into an immutable report. The per-backend
+    /// table comes out sorted by backend name, so equal states always
+    /// produce equal reports. The portfolio-telemetry and trace fields are
+    /// empty here — [`crate::service::SolverService::report`] fills them in.
     pub fn report(&self) -> RuntimeReport {
-        let sorted = |map: &Mutex<BTreeMap<String, u64>>| {
-            map.lock_unpoisoned().iter().map(|(name, &count)| (name.clone(), count)).collect()
-        };
+        let per_backend = self.per_backend.lock_unpoisoned();
         let mut report = RuntimeReport {
             solve_seconds_total: self.solve_seconds_total_micros.load(Ordering::Relaxed) as f64
                 / 1e6,
             served_seconds_total: self.served_seconds_total_micros.load(Ordering::Relaxed) as f64
                 / 1e6,
-            compile_seconds_saved: self.compile_saved_nanos.load(Ordering::Relaxed) as f64 / 1e9,
             latency_histogram: std::array::from_fn(|i| self.latency[i].load(Ordering::Relaxed)),
             served_latency_histogram: std::array::from_fn(|i| {
                 self.served_latency[i].load(Ordering::Relaxed)
             }),
-            per_backend: sorted(&self.per_backend),
-            race_wins: sorted(&self.race_wins),
+            per_backend: per_backend.iter().map(|(name, &count)| (name.clone(), count)).collect(),
             ..RuntimeReport::default()
         };
         for (field, counter) in report.counters_mut().into_iter().zip(&self.counters) {
@@ -288,10 +256,6 @@ pub struct BackendTelemetry {
     /// Exponentially-weighted moving average solution quality (lower is
     /// better; infeasible results are penalized).
     pub ewma_quality: f64,
-    /// Races this backend was entered into.
-    pub race_entries: u64,
-    /// Races this backend won.
-    pub race_wins: u64,
     /// EWMA of the cost model's predicted latency for this backend's
     /// recent jobs, seconds. Zero until the first calibrated observation.
     pub predicted_seconds: f64,
@@ -336,8 +300,6 @@ counter_table! {
         /// Blocking `Session::submit` calls that had to wait for queue space.
         BackpressureWaits backpressure_waits: counter, "backpressure_waits_total",
             "Blocking submit calls that waited for queue space.";
-        /// Portfolio-race jobs completed ([`crate::service::BackendChoice::Race`]).
-        RaceJobs race_jobs: counter, "race_jobs_total", "Portfolio-race jobs completed.";
         /// Retry attempts: tries re-run after a retryable failure (panic or
         /// injected error) under the service's [`crate::fault::RetryPolicy`].
         JobsRetried jobs_retried: counter, "jobs_retried_total",
@@ -351,8 +313,8 @@ counter_table! {
             "Jobs that missed their per-job deadline.";
         /// Backend circuit breakers tripped open (threshold reached or a
         /// half-open probe failed). Cost-aware routing already prices this
-        /// state in: [`crate::portfolio::PortfolioScheduler::rank_costed`]
-        /// discounts an open or half-open backend's capacity.
+        /// state in: the portfolio's ranking discounts an open or half-open
+        /// backend's capacity.
         BreakerOpened breaker_opened: counter, "breaker_opened_total",
             "Backend circuit breakers tripped open.";
         /// Open breakers moved to half-open after their cooldown elapsed.
@@ -406,16 +368,11 @@ counter_table! {
     /// and the fields the service fills in.
     #[derive(Debug, Clone, Default, PartialEq)]
     pub struct RuntimeReport {
-        /// Total backend wall time spent solving (cache hits cost none; race
-        /// jobs include every participant's time, not just the winner's).
+        /// Total backend wall time spent solving (cache hits cost none).
         pub solve_seconds_total: f64,
         /// Total caller-observed enqueue→result time across delivered jobs
         /// (cache hits and coalesced followers included).
         pub served_seconds_total: f64,
-        /// Compile time avoided by sharing one compilation per job across every
-        /// dispatched backend: a race of k saves k − 1 compiles, a
-        /// single-backend job saves none. See [`Metrics::on_compile_shared`].
-        pub compile_seconds_saved: f64,
         /// Solve-latency histogram; bucket `i` counts solves in
         /// `[2^i, 2^(i+1))` µs. Cache hits and coalesced followers are *not* in
         /// here — see [`Self::served_latency_histogram`].
@@ -426,8 +383,6 @@ counter_table! {
         pub served_latency_histogram: [u64; LATENCY_BUCKETS],
         /// `(backend, jobs solved)` sorted by backend name.
         pub per_backend: Vec<(String, u64)>,
-        /// `(backend, races won)` sorted by backend name.
-        pub race_wins: Vec<(String, u64)>,
         /// Per-backend EWMA latency/quality telemetry from the portfolio
         /// router, sorted by backend name; backends with zero observations are
         /// omitted. Empty on bare [`Metrics::report`] snapshots — populated by
@@ -471,7 +426,6 @@ impl RuntimeReport {
     pub fn merge<'a>(reports: impl IntoIterator<Item = &'a RuntimeReport>) -> RuntimeReport {
         let mut merged = RuntimeReport::default();
         let mut per_backend: BTreeMap<String, u64> = BTreeMap::new();
-        let mut race_wins: BTreeMap<String, u64> = BTreeMap::new();
         let mut telemetry: BTreeMap<String, BackendTelemetry> = BTreeMap::new();
         for r in reports {
             for (sum, value) in merged.counters_mut().into_iter().zip(r.counters()) {
@@ -479,7 +433,6 @@ impl RuntimeReport {
             }
             merged.solve_seconds_total += r.solve_seconds_total;
             merged.served_seconds_total += r.served_seconds_total;
-            merged.compile_seconds_saved += r.compile_seconds_saved;
             merged.traces_recorded += r.traces_recorded;
             merged.traces_dropped += r.traces_dropped;
             merged.queue_backlog_seconds += r.queue_backlog_seconds;
@@ -489,9 +442,6 @@ impl RuntimeReport {
             }
             for (name, count) in &r.per_backend {
                 *per_backend.entry(name.clone()).or_insert(0) += count;
-            }
-            for (name, count) in &r.race_wins {
-                *race_wins.entry(name.clone()).or_insert(0) += count;
             }
             for t in &r.backend_telemetry {
                 telemetry
@@ -508,8 +458,6 @@ impl RuntimeReport {
                                 avg(acc.estimation_error_factor, t.estimation_error_factor);
                         }
                         acc.observations += t.observations;
-                        acc.race_entries += t.race_entries;
-                        acc.race_wins += t.race_wins;
                     })
                     .or_insert_with(|| t.clone());
             }
@@ -519,7 +467,6 @@ impl RuntimeReport {
             merged.shard_queue_depths.extend(r.shard_queue_depths.iter().copied());
         }
         merged.per_backend = per_backend.into_iter().collect();
-        merged.race_wins = race_wins.into_iter().collect();
         merged.backend_telemetry = telemetry.into_values().collect();
         merged.shard_queue_depths.sort_unstable();
         merged
@@ -552,18 +499,12 @@ impl RuntimeReport {
     /// Renders the report in Prometheus text exposition format (version
     /// 0.0.4): every counter as a `qdm_`-prefixed series with `# HELP` /
     /// `# TYPE` headers, both latency histograms as native cumulative
-    /// `_bucket{le="..."}` series in seconds, per-backend job/win counters
+    /// `_bucket{le="..."}` series in seconds, per-backend job counters
     /// as labelled series, and the portfolio's per-backend EWMA
     /// latency/quality gauges.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);
         let hand_filled = [
-            (
-                "counter",
-                "compile_seconds_saved_total",
-                "Compile time avoided by compile-once sharing.",
-                self.compile_seconds_saved,
-            ),
             (
                 "counter",
                 "traces_recorded_total",
@@ -628,52 +569,44 @@ impl RuntimeReport {
         for (name, count) in &self.per_backend {
             out.push_str(&format!("qdm_backend_jobs_total{{backend=\"{name}\"}} {count}\n"));
         }
-        out.push_str("# HELP qdm_race_wins_total Races won per backend.\n");
-        out.push_str("# TYPE qdm_race_wins_total counter\n");
-        for (name, count) in &self.race_wins {
-            out.push_str(&format!("qdm_race_wins_total{{backend=\"{name}\"}} {count}\n"));
-        }
 
-        let telemetry = [
+        type Gauge = fn(&BackendTelemetry) -> f64;
+        let telemetry: [(&str, &str, &str, Gauge); 5] = [
             (
                 "backend_observations_total",
                 "counter",
                 "Solve observations folded into the backend's EWMAs.",
+                |t| t.observations as f64,
             ),
             (
                 "backend_ewma_latency_seconds",
                 "gauge",
                 "EWMA solve latency (telemetry; routing prices the cost model).",
+                |t| t.ewma_latency_seconds,
             ),
             (
                 "backend_ewma_quality",
                 "gauge",
                 "EWMA solution quality (lower is better) the router routes on.",
+                |t| t.ewma_quality,
             ),
-            ("backend_race_entries_total", "counter", "Races the backend was entered into."),
             (
                 "backend_predicted_seconds",
                 "gauge",
                 "EWMA of the cost model's predicted latency for the backend's recent jobs.",
+                |t| t.predicted_seconds,
             ),
             (
                 "backend_estimation_error_factor",
                 "gauge",
                 "EWMA symmetric predicted-vs-actual error factor (1.0 = perfect).",
+                |t| t.estimation_error_factor,
             ),
         ];
-        for (name, kind, help) in telemetry {
+        for (name, kind, help, value) in telemetry {
             out.push_str(&format!("# HELP qdm_{name} {help}\n# TYPE qdm_{name} {kind}\n"));
             for t in &self.backend_telemetry {
-                let value = match name {
-                    "backend_observations_total" => t.observations as f64,
-                    "backend_ewma_latency_seconds" => t.ewma_latency_seconds,
-                    "backend_ewma_quality" => t.ewma_quality,
-                    "backend_predicted_seconds" => t.predicted_seconds,
-                    "backend_estimation_error_factor" => t.estimation_error_factor,
-                    _ => t.race_entries as f64,
-                };
-                out.push_str(&format!("qdm_{name}{{backend=\"{}\"}} {value}\n", t.backend));
+                out.push_str(&format!("qdm_{name}{{backend=\"{}\"}} {}\n", t.backend, value(t)));
             }
         }
         out
@@ -757,20 +690,12 @@ impl std::fmt::Display for RuntimeReport {
             writeln!(f)?;
         }
         writeln!(f, "solve:   {:.3}s total backend time", self.solve_seconds_total)?;
-        writeln!(f, "compile: {:.6}s saved by compile-once sharing", self.compile_seconds_saved)?;
         if self.traces_recorded > 0 {
             writeln!(
                 f,
                 "traces:  {} recorded, {} dropped",
                 self.traces_recorded, self.traces_dropped
             )?;
-        }
-        if self.race_jobs > 0 {
-            write!(f, "races:   {} jobs; wins:", self.race_jobs)?;
-            for (name, wins) in &self.race_wins {
-                write!(f, " {name} x{wins}")?;
-            }
-            writeln!(f)?;
         }
         for (name, count) in &self.per_backend {
             writeln!(f, "backend: {name:<28} {count} jobs")?;
@@ -918,39 +843,15 @@ mod tests {
     }
 
     #[test]
-    fn compile_and_race_counters_accumulate() {
-        let m = Metrics::new();
-        m.on_compile_shared(0.001, 5); // one compile served 5 consumers: 4ms saved
-        m.on_compile_shared(0.002, 1); // sole consumer: nothing saved
-        m.on_race("tabu");
-        m.on_race("tabu");
-        m.on_race("simulated-annealing");
-        m.on_race_participant_time(0.25); // a losing participant's solve time
-        let r = m.report();
-        assert!((r.compile_seconds_saved - 0.004).abs() < 1e-6, "{}", r.compile_seconds_saved);
-        assert!((r.solve_seconds_total - 0.25).abs() < 1e-6, "{}", r.solve_seconds_total);
-        assert_eq!(r.race_jobs, 3);
-        // Name-sorted snapshot: "simulated-annealing" < "tabu".
-        assert_eq!(r.race_wins[0], ("simulated-annealing".to_string(), 1));
-        assert_eq!(r.race_wins[1], ("tabu".to_string(), 2));
-        let text = r.to_string();
-        assert!(text.contains("races:   3 jobs"), "{text}");
-        assert!(text.contains("compile:"), "{text}");
-    }
-
-    #[test]
     fn snapshots_are_deterministically_name_sorted() {
         let m = Metrics::new();
         for backend in ["zeta", "alpha", "mid", "alpha"] {
             m.on_solved(backend, 1e-3);
-            m.on_race(backend);
         }
         let r = m.report();
         let names: Vec<&str> = r.per_backend.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["alpha", "mid", "zeta"]);
         assert_eq!(r.per_backend[0].1, 2);
-        let win_names: Vec<&str> = r.race_wins.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(win_names, vec!["alpha", "mid", "zeta"]);
         assert_eq!(m.report(), r, "repeated snapshots of the same state are identical");
     }
 
@@ -1087,8 +988,6 @@ mod tests {
             observations: 3,
             ewma_latency_seconds: 0.001,
             ewma_quality: 1.0,
-            race_entries: 2,
-            race_wins: 1,
             predicted_seconds: 0.002,
             estimation_error_factor: 2.0,
         }];
@@ -1100,8 +999,6 @@ mod tests {
                 observations: 5,
                 ewma_latency_seconds: 0.004,
                 ewma_quality: 2.0,
-                race_entries: 0,
-                race_wins: 0,
                 predicted_seconds: 0.004,
                 estimation_error_factor: 1.0,
             },
@@ -1110,8 +1007,6 @@ mod tests {
                 observations: 1,
                 ewma_latency_seconds: 0.005,
                 ewma_quality: 3.0,
-                race_entries: 1,
-                race_wins: 1,
                 predicted_seconds: 0.006,
                 estimation_error_factor: 6.0,
             },
@@ -1124,8 +1019,6 @@ mod tests {
         assert_eq!(names, vec!["simulated-annealing", "tabu"], "telemetry stays name-sorted");
         let tabu = &merged.backend_telemetry[1];
         assert_eq!(tabu.observations, 4);
-        assert_eq!(tabu.race_entries, 3);
-        assert_eq!(tabu.race_wins, 2);
         // Observation-weighted: (0.001*3 + 0.005*1) / 4 = 0.002.
         assert!((tabu.ewma_latency_seconds - 0.002).abs() < 1e-12);
         assert!((tabu.ewma_quality - 1.5).abs() < 1e-12);
@@ -1166,15 +1059,12 @@ mod tests {
         m.on_served(1e-6);
         m.on_solved("tabu", 0.004);
         m.on_served(0.004);
-        m.on_race("tabu");
         let mut r = m.report();
         r.backend_telemetry = vec![BackendTelemetry {
             backend: "tabu".to_string(),
             observations: 1,
             ewma_latency_seconds: 0.004,
             ewma_quality: 0.25,
-            race_entries: 1,
-            race_wins: 1,
             predicted_seconds: 0.005,
             estimation_error_factor: 1.25,
         }];
@@ -1216,7 +1106,6 @@ mod tests {
         assert!(text.contains("qdm_jobs_submitted_total 4\n"), "{text}");
         assert!(text.contains("qdm_cache_hits_total 1\n"), "{text}");
         assert!(text.contains("qdm_backend_jobs_total{backend=\"tabu\"} 1\n"), "{text}");
-        assert!(text.contains("qdm_race_wins_total{backend=\"tabu\"} 1\n"), "{text}");
         assert!(text.contains("qdm_backend_ewma_latency_seconds{backend=\"tabu\"} 0.004\n"));
         assert!(text.contains("qdm_backend_ewma_quality{backend=\"tabu\"} 0.25\n"));
         assert!(text.contains("qdm_backend_predicted_seconds{backend=\"tabu\"} 0.005\n"));
@@ -1249,7 +1138,7 @@ mod tests {
         m.add(Counter::JobsSubmitted, 101);
         times(3, &|| m.on_cache_hit());
         for (backend, seconds) in
-            [("tabu", 0.004), ("tabu", 0.5), ("simulated-annealing", 2e-6), ("tabu", 20.0)]
+            [("tabu", 0.004), ("tabu", 0.5), ("simulated-annealing", 2e-6), ("tabu", 20.25)]
         {
             m.on_solved(backend, seconds);
         }
@@ -1267,10 +1156,6 @@ mod tests {
         times(17, &|| m.dec(Counter::QueueDepth));
         m.add(Counter::BackpressureRejections, 6);
         m.add(Counter::BackpressureWaits, 12);
-        times(9, &|| m.on_race("tabu"));
-        times(5, &|| m.on_race("simulated-annealing"));
-        m.on_race_participant_time(0.25);
-        m.on_compile_shared(0.001, 5);
         for (counter, n) in [
             (Counter::JobsAdmitted, 16),
             (Counter::JobsShed, 17),
@@ -1295,8 +1180,6 @@ mod tests {
             observations: 7,
             ewma_latency_seconds: 0.003,
             ewma_quality: 0.5,
-            race_entries: 4,
-            race_wins: 3,
             predicted_seconds: 0.002,
             estimation_error_factor: 1.5,
         }];

@@ -14,7 +14,9 @@
 //! orchestration the Zajac & Störl architecture calls for: classical
 //! control choosing among quantum(-like) backends per request.
 
+use crate::breaker::CircuitBreakers;
 use crate::cost::{analytic_seconds, CostModel, CostShape};
+use crate::metrics::Metrics;
 use crate::registry::SolverRegistry;
 use crate::sync::LockExt;
 use std::sync::Mutex;
@@ -31,11 +33,6 @@ pub struct BackendStats {
     /// EWMA of energy quality (0 = at the naive lower bound; higher is
     /// worse; infeasible decodes add a fixed penalty).
     pub ewma_quality: f64,
-    /// Portfolio races this backend participated in.
-    pub race_entries: u64,
-    /// Races this backend won (best energy, ties to the higher-ranked
-    /// participant).
-    pub race_wins: u64,
 }
 
 /// EWMA smoothing factor: each new observation carries 20% weight.
@@ -73,7 +70,7 @@ impl PortfolioScheduler {
     /// `shape`-shaped job: calibrated prediction ÷ success rate ÷
     /// `capacity` (the breaker-state discount; 1.0 when breakers are
     /// off). This is the *quote* channel (admission, DRR, shed hints);
-    /// route/race comparisons use the quantized routing channel instead
+    /// routing compares backends on the quantized routing channel instead
     /// ([`crate::cost::CostModel::expected_routing_seconds`]).
     pub fn expected_seconds(
         &self,
@@ -89,33 +86,31 @@ impl PortfolioScheduler {
         )
     }
 
-    /// Ranks every eligible backend for an `n_vars`-variable job, best
-    /// first; empty when no registered backend admits the model. Score =
-    /// expected seconds (calibrated analytic estimate, priced for
-    /// reliability) × a quality multiplier; ascending score, ties broken by
-    /// registration order, so `rank(..).first()` is the routed backend. The
-    /// prefix of this ranking is what a [`crate::service::BackendChoice::Race`]
-    /// job's participants are drawn from, so the order is deterministic for
-    /// a given telemetry state.
-    pub fn rank(&self, registry: &SolverRegistry, n_vars: usize) -> Vec<usize> {
-        self.rank_costed(registry, CostShape::from_n_vars(n_vars), |_| false, |_| 1.0)
-    }
-
-    /// The full-information ranking: a measured [`CostShape`] (the
-    /// compiled model's real average degree), per-candidate exclusion, and
-    /// a per-candidate capacity discount (open/half-open breakers price a
-    /// backend up instead of merely dropping out of one ranking). `exclude`
-    /// is consulted per candidate (open circuit breakers, backends that
-    /// already failed this job's earlier attempts). Never degrades to zero —
-    /// when every eligible backend is excluded, the best-ranked one stays
-    /// in, so a fully tripped portfolio still serves (its next answer is
-    /// also the half-open probe that can re-close a breaker).
-    pub fn rank_costed(
+    /// Ranks every eligible backend for a `shape`-shaped job, best first;
+    /// the routed backend is the head, and the ranking is empty when no
+    /// registered backend admits the model. Score = expected seconds
+    /// (calibrated analytic estimate, priced for reliability and for the
+    /// backend's circuit-breaker capacity) × a quality multiplier;
+    /// ascending score, ties broken by registration order, so the order is
+    /// deterministic for a given telemetry state.
+    ///
+    /// The routing path passes the compiled model's measured [`CostShape`],
+    /// the backends this job's earlier attempts failed on (`excluded`), and
+    /// the service's circuit breakers with the metrics their transitions
+    /// count into. Excluded backends and backends whose breaker is open drop
+    /// out — checking an open breaker whose cooldown elapsed half-opens it —
+    /// but the ranking never degrades to zero: when every eligible backend
+    /// drops out, the best-ranked one stays in, so a fully tripped portfolio
+    /// still serves. Half-open backends then move to the front (stable
+    /// within each group): their failures price them far down, and left to
+    /// expected seconds alone the probe a half-open breaker asks for would
+    /// never dispatch.
+    pub(crate) fn rank(
         &self,
         registry: &SolverRegistry,
         shape: CostShape,
-        exclude: impl Fn(usize) -> bool,
-        capacity: impl Fn(usize) -> f64,
+        excluded: &[usize],
+        breakers: Option<(&CircuitBreakers, &Metrics)>,
     ) -> Vec<usize> {
         let eligible = registry.eligible(shape.n_vars);
         let stats = self.stats.lock_unpoisoned();
@@ -128,16 +123,23 @@ impl PortfolioScheduler {
                 let expected = self.cost.expected_routing_seconds(
                     i,
                     analytic_seconds(&registry.get(i).spec, shape),
-                    capacity(i),
+                    breakers.map_or(1.0, |(b, _)| b.capacity(i)),
                 );
                 (i, expected * (1.0 + QUALITY_WEIGHT * stats[i].ewma_quality))
             })
             .collect();
         scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         let ranked: Vec<usize> = scored.into_iter().map(|(i, _)| i).collect();
-        let filtered: Vec<usize> = ranked.iter().copied().filter(|&i| !exclude(i)).collect();
+        let mut filtered: Vec<usize> = ranked
+            .iter()
+            .copied()
+            .filter(|i| !excluded.contains(i) && !breakers.is_some_and(|(b, m)| b.is_open(*i, m)))
+            .collect();
         if filtered.is_empty() && !ranked.is_empty() {
             return vec![ranked[0]];
+        }
+        if let Some((b, _)) = breakers {
+            filtered.sort_by_key(|&i| !b.is_half_open(i));
         }
         filtered
     }
@@ -185,20 +187,6 @@ impl PortfolioScheduler {
         self.cost.observe_failure(backend);
     }
 
-    /// Records one backend's participation in a portfolio race and whether
-    /// it produced the winning result. Solve telemetry (latency/quality) is
-    /// fed separately through [`Self::record`] for every participant, so a
-    /// race teaches the router about k backends at once — the
-    /// compile-once/race-many feedback loop.
-    pub fn record_race_outcome(&self, backend: usize, won: bool) {
-        let mut stats = self.stats.lock_unpoisoned();
-        let s = &mut stats[backend];
-        s.race_entries += 1;
-        if won {
-            s.race_wins += 1;
-        }
-    }
-
     /// Snapshot of per-backend statistics, indexed like the registry.
     pub fn stats(&self) -> Vec<BackendStats> {
         self.stats.lock_unpoisoned().clone()
@@ -215,10 +203,20 @@ pub fn energy_quality(energy: f64, naive_lower_bound: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breaker::BreakerConfig;
+    use crate::cluster::ManualClock;
     use crate::registry::SolverRegistry;
+    use std::sync::Arc;
+    use std::time::Duration;
 
     fn record_simple(sched: &PortfolioScheduler, reg: &SolverRegistry, backend: usize, secs: f64) {
         sched.record(reg, backend, CostShape::from_n_vars(6), secs, 0.0, true);
+    }
+
+    /// The ranking of an `n_vars`-variable job with nothing excluded and
+    /// no breakers.
+    fn rank(sched: &PortfolioScheduler, reg: &SolverRegistry, n_vars: usize) -> Vec<usize> {
+        sched.rank(reg, CostShape::from_n_vars(n_vars), &[], None)
     }
 
     #[test]
@@ -226,17 +224,17 @@ mod tests {
         let reg = SolverRegistry::standard();
         let sched = PortfolioScheduler::new(reg.len());
         // 30 variables: only large-capacity heuristics are eligible.
-        let chosen = sched.rank(&reg, 30).first().copied().expect("someone can take 30 vars");
+        let chosen = rank(&sched, &reg, 30).first().copied().expect("someone can take 30 vars");
         assert!(reg.get(chosen).spec.max_vars >= 30);
         // Beyond every backend's cap: unroutable.
-        assert!(sched.rank(&reg, 2_000_000).first().copied().is_none());
+        assert!(rank(&sched, &reg, 2_000_000).first().copied().is_none());
     }
 
     #[test]
     fn small_jobs_route_to_exact() {
         let reg = SolverRegistry::standard();
         let sched = PortfolioScheduler::new(reg.len());
-        let chosen = sched.rank(&reg, 6).first().copied().expect("routable");
+        let chosen = rank(&sched, &reg, 6).first().copied().expect("routable");
         assert_eq!(reg.get(chosen).spec.name, "exact");
     }
 
@@ -245,7 +243,7 @@ mod tests {
         let reg = SolverRegistry::standard();
         let sched = PortfolioScheduler::new(reg.len());
         let exact = reg.find("exact").unwrap();
-        let first = sched.rank(&reg, 6).first().copied().unwrap();
+        let first = rank(&sched, &reg, 6).first().copied().unwrap();
         assert_eq!(first, exact);
         // Exact turns out to be slow and SA answers instantly and optimally:
         // traffic must move off exact.
@@ -254,7 +252,7 @@ mod tests {
             record_simple(&sched, &reg, exact, 10.0);
             record_simple(&sched, &reg, sa, 1e-6);
         }
-        let rerouted = sched.rank(&reg, 6).first().copied().unwrap();
+        let rerouted = rank(&sched, &reg, 6).first().copied().unwrap();
         assert_eq!(rerouted, sa);
     }
 
@@ -266,11 +264,11 @@ mod tests {
         // Six fast 4-variable enumerations: a raw latency of 5 µs says
         // nothing about 2^14 states. The cost model extrapolates along
         // the analytic curve, so exact stays out of a 14-variable job's
-        // top two (a k=2 race would burn its ~1 ms of wasted work).
+        // top two: its route, and its route after a failed attempt.
         for _ in 0..6 {
             sched.record(&reg, exact, CostShape::from_n_vars(4), 5e-6, 0.0, true);
         }
-        let ranked = sched.rank_costed(&reg, CostShape::from_n_vars(14), |_| false, |_| 1.0);
+        let ranked = rank(&sched, &reg, 14);
         assert!(!ranked[..2].contains(&exact), "exact ranked in the top two: {ranked:?}");
     }
 
@@ -279,7 +277,7 @@ mod tests {
         let reg = SolverRegistry::standard();
         let sched = PortfolioScheduler::new(reg.len());
         let exact = reg.find("exact").unwrap();
-        assert_eq!(sched.rank(&reg, 6).first().copied(), Some(exact));
+        assert_eq!(rank(&sched, &reg, 6).first().copied(), Some(exact));
         // Exact answers when it answers — but fails 39 times out of 40.
         // Its expected cost is latency ÷ success rate, which prices it
         // far above the (slower but reliable) heuristics at this size.
@@ -287,32 +285,41 @@ mod tests {
         for _ in 0..39 {
             sched.record_failure(exact);
         }
-        let rerouted = sched.rank(&reg, 6).first().copied().unwrap();
+        let rerouted = rank(&sched, &reg, 6).first().copied().unwrap();
         assert_ne!(rerouted, exact, "an unreliable backend loses its route");
     }
 
     #[test]
-    fn capacity_discount_reprices_a_backend() {
+    fn breakers_drop_price_and_promote_backends() {
         let reg = SolverRegistry::standard();
         let sched = PortfolioScheduler::new(reg.len());
-        let exact = reg.find("exact").unwrap();
+        let (exact, sa) = (reg.find("exact").unwrap(), reg.find("simulated-annealing").unwrap());
         let shape = CostShape::from_n_vars(6);
-        let full = sched.rank_costed(&reg, shape, |_| false, |_| 1.0);
-        assert_eq!(full[0], exact);
-        // A breaker-discounted exact (capacity 0.25 = open) is priced 4×
-        // but still cheap enough to lead at 6 vars; at a harsher discount
-        // the field passes it.
-        let discounted =
-            sched.rank_costed(&reg, shape, |_| false, |i| if i == exact { 1e-3 } else { 1.0 });
+        let clock = Arc::new(ManualClock::new(0));
+        let config = BreakerConfig {
+            failure_threshold: 1,
+            cooldown: Duration::from_secs(1),
+            clock: Some(Arc::clone(&clock) as Arc<dyn crate::cluster::Clock>),
+        };
+        let breakers = CircuitBreakers::new(&config, reg.len());
+        let metrics = Metrics::new();
+        let ranked = || sched.rank(&reg, shape, &[], Some((&breakers, &metrics)));
+        assert_eq!(ranked()[0], exact);
+        assert_ne!(ranked()[0], sa);
+        // An open breaker drops its backend out of the ranking.
+        breakers.on_failure(sa, &metrics);
+        assert!(!ranked().contains(&sa));
+        // Once the cooldown elapses, the ranking half-opens the breaker and
+        // puts the probe first, although its capacity discount prices it up.
+        clock.advance(1_000_000);
+        assert_eq!(ranked()[0], sa);
+        assert_eq!(metrics.report().breaker_half_opened, 1);
         assert!(
-            sched.expected_seconds(&reg, exact, shape, 1e-3)
-                > sched.expected_seconds(&reg, exact, shape, 1.0)
+            sched.expected_seconds(&reg, sa, shape, breakers.capacity(sa))
+                > sched.expected_seconds(&reg, sa, shape, 1.0)
         );
-        // Deterministic: repeated calls agree.
-        assert_eq!(
-            discounted,
-            sched.rank_costed(&reg, shape, |_| false, |i| if i == exact { 1e-3 } else { 1.0 })
-        );
+        // With every eligible backend excluded, the best-ranked one stays.
+        assert_eq!(sched.rank(&reg, shape, &reg.eligible(6), None), vec![exact]);
     }
 
     #[test]
@@ -320,27 +327,15 @@ mod tests {
         let reg = SolverRegistry::standard();
         let sched = PortfolioScheduler::new(reg.len());
         for n_vars in [4usize, 6, 30] {
-            let ranked = sched.rank(&reg, n_vars);
+            let ranked = rank(&sched, &reg, n_vars);
             assert!(!ranked.is_empty());
-            assert_eq!(sched.rank(&reg, n_vars).first().copied(), Some(ranked[0]));
+            assert_eq!(rank(&sched, &reg, n_vars).first().copied(), Some(ranked[0]));
             for &i in &ranked {
                 assert!(reg.get(i).spec.max_vars >= n_vars);
             }
-            assert_eq!(ranked, sched.rank(&reg, n_vars), "ranking must be stable");
+            assert_eq!(ranked, rank(&sched, &reg, n_vars), "ranking must be stable");
         }
-        assert!(sched.rank(&reg, 2_000_000).is_empty());
-    }
-
-    #[test]
-    fn race_outcomes_accumulate_per_backend() {
-        let reg = SolverRegistry::standard();
-        let sched = PortfolioScheduler::new(reg.len());
-        sched.record_race_outcome(0, true);
-        sched.record_race_outcome(0, false);
-        sched.record_race_outcome(1, false);
-        let stats = sched.stats();
-        assert_eq!((stats[0].race_entries, stats[0].race_wins), (2, 1));
-        assert_eq!((stats[1].race_entries, stats[1].race_wins), (1, 0));
+        assert!(rank(&sched, &reg, 2_000_000).is_empty());
     }
 
     #[test]

@@ -56,18 +56,8 @@ impl SolverRegistry {
 
     /// Registers a backend, snapshotting its capabilities. Returns the
     /// backend's index for direct routing.
-    ///
-    /// # Panics
-    /// Panics if the backend's name contains `':'` — the service reserves
-    /// that character for internal cache-key markers (a `Race { k }` job is
-    /// keyed as `"race:<k>"`), and a colliding name could alias a pinned
-    /// job's cache entries with a race's.
     pub fn register(&mut self, solver: Box<dyn QuboSolver + Send + Sync>) -> usize {
         let name = solver.name().to_string();
-        assert!(
-            !name.contains(':'),
-            "backend name {name:?} contains ':', which is reserved for cache-key markers"
-        );
         let spec = SolverSpec { name, kind: solver.kind(), max_vars: solver.max_vars() };
         self.backends.push(RegisteredSolver { spec, solver });
         self.backends.len() - 1

@@ -45,8 +45,8 @@ use crate::scheduler::JobScheduler;
 use crate::submit::SessionCore;
 use crate::sync::{CondvarExt, LockExt};
 use crate::trace::{
-    JobTrace, Span, Stage, StageProfile, StageStats, TraceConfig, TraceOutcome, TraceRing,
-    TraceSink, DEFAULT_TRACE_CAPACITY,
+    JobTrace, Span, Stage, StageProfile, TraceConfig, TraceOutcome, TraceRing, TraceSink,
+    DEFAULT_TRACE_CAPACITY,
 };
 use qdm_core::cores;
 use qdm_core::pipeline::{
@@ -74,20 +74,6 @@ pub enum BackendChoice {
     Auto,
     /// Pin the job to a named backend (e.g. `"simulated-annealing"`).
     Named(String),
-    /// Race the portfolio's top-`k` admissible backends against each other
-    /// — concurrently on the idle cores the [`qdm_core::cores`] budget
-    /// grants, in turn on the worker beyond that — every participant
-    /// solving the job's **single shared compilation**. The winner is
-    /// picked deterministically — best energy, ties to the higher-ranked
-    /// participant, scanning in ranking order — so the result is
-    /// bit-identical at any thread count and `Race { k: 1 }` reproduces
-    /// `Auto`'s result exactly. Every participant's latency/quality and the
-    /// race outcome feed the portfolio scheduler.
-    Race {
-        /// How many of the top-ranked eligible backends race (clamped to
-        /// `1..=eligible`).
-        k: usize,
-    },
 }
 
 /// One unit of work for the service.
@@ -134,13 +120,6 @@ impl JobSpec {
     /// Pins the job to a named backend.
     pub fn on_backend(mut self, name: &str) -> Self {
         self.backend = BackendChoice::Named(name.to_string());
-        self
-    }
-
-    /// Races the portfolio's top-`k` admissible backends on the job's
-    /// shared compilation (see [`BackendChoice::Race`]).
-    pub fn racing(mut self, k: usize) -> Self {
-        self.backend = BackendChoice::Race { k };
         self
     }
 
@@ -473,10 +452,8 @@ impl Shared {
     ///
     /// Pinned jobs quote their named backend; `Auto` quotes the cheapest
     /// eligible backend (what routing will pick, modulo the quality
-    /// term); a `Race { k }` quotes the **sum** of its k cheapest
-    /// participants — a race consumes every lane it occupies, not just
-    /// the winner's. Unroutable specs quote the floor and are rejected at
-    /// routing instead.
+    /// term). Unroutable specs quote the floor and are rejected at routing
+    /// instead.
     pub(crate) fn predicted_seconds(&self, spec: &JobSpec) -> f64 {
         let n_vars = spec.problem.n_vars();
         let shape = CostShape::from_n_vars(n_vars);
@@ -496,15 +473,6 @@ impl Shared {
                 .map(expected)
                 .min_by(f64::total_cmp)
                 .unwrap_or(MIN_PREDICTED_SECONDS),
-            BackendChoice::Race { k } => {
-                let mut costs: Vec<f64> =
-                    self.registry.eligible(n_vars).into_iter().map(expected).collect();
-                if costs.is_empty() {
-                    return MIN_PREDICTED_SECONDS;
-                }
-                costs.sort_by(f64::total_cmp);
-                costs.iter().take((*k).clamp(1, costs.len())).sum()
-            }
         }
     }
 }
@@ -740,8 +708,6 @@ impl SolverService {
                 observations: s.observations,
                 ewma_latency_seconds: s.ewma_latency,
                 ewma_quality: s.ewma_quality,
-                race_entries: s.race_entries,
-                race_wins: s.race_wins,
                 predicted_seconds: calibration[idx].ewma_predicted_seconds,
                 estimation_error_factor: calibration[idx].ewma_error_factor,
             })
@@ -772,9 +738,8 @@ impl SolverService {
     /// Exports the retained job traces as Chrome `trace_event` JSON — load
     /// the string (saved as a `.json` file) in `about:tracing` or
     /// [Perfetto](https://ui.perfetto.dev) to see per-job span timelines:
-    /// queue wait, the single compile, presolve, every race participant's
-    /// solve (winner marked), and serve. Each job renders as its own thread
-    /// lane (`tid = job_id·100`); race participants nest under it.
+    /// queue wait, the single compile, presolve, the backend's solve, and
+    /// serve. Each job renders as its own thread lane (`tid = job_id`).
     pub fn export_traces(&self) -> String {
         render_chrome_trace(&self.traces())
     }
@@ -1062,7 +1027,7 @@ fn run_job(host: &Shared, mut job: QueuedJob) {
                 break Err(JobError::DeadlineExceeded { partial: None });
             }
         }
-        ctx.attempted.clear();
+        ctx.dispatched = None;
         ctx.accounted = false;
         let attempt_outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             // A job queued without a route encodes here, inside the guard:
@@ -1077,24 +1042,20 @@ fn run_job(host: &Shared, mut job: QueuedJob) {
         };
         let retryable = matches!(err, JobError::Panicked(_) | JobError::Injected(_));
         if retryable {
-            // Breaker attribution for the panic path: `lead` accounts
-            // participant-level successes/failures itself and marks the
-            // context accounted; an unwound attempt never got there, so
-            // every backend it dispatched is charged here.
-            if !ctx.accounted {
-                for &idx in &ctx.attempted {
-                    if let Some(breakers) = &shared.breakers {
-                        breakers.on_failure(idx, &shared.metrics);
-                    }
-                    // The cost model prices unreliability the same way:
-                    // every backend the unwound attempt dispatched gets a
-                    // failure against its success rate.
-                    shared.portfolio.record_failure(idx);
+            // Breaker attribution for the panic path: `lead` accounts the
+            // backend's success or failure itself and marks the context
+            // accounted; an unwound attempt never got there, so the
+            // backend it dispatched is charged here.
+            if let Some(idx) = ctx.dispatched.filter(|_| !ctx.accounted) {
+                if let Some(breakers) = &shared.breakers {
+                    breakers.on_failure(idx, &shared.metrics);
                 }
+                // The cost model prices unreliability the same way: the
+                // backend gets a failure against its success rate.
+                shared.portfolio.record_failure(idx);
             }
-            // The next attempt routes around everything this one tried.
-            let attempted = std::mem::take(&mut ctx.attempted);
-            ctx.excluded.extend(attempted);
+            // The next attempt routes around the backend this one tried.
+            ctx.excluded.extend(ctx.dispatched.take());
         }
         if retryable && attempt < shared.retry.max_retries {
             attempt += 1;
@@ -1207,10 +1168,10 @@ struct AttemptCtx {
     /// Backends that failed earlier attempts of this job; routing for the
     /// current attempt excludes them.
     excluded: Vec<usize>,
-    /// Backends the current attempt dispatched, recorded right after
+    /// The backend the current attempt dispatched, recorded right after
     /// routing so a panic mid-solve can still be attributed.
-    attempted: Vec<usize>,
-    /// Set by [`lead`] once it has fed per-participant outcomes to the
+    dispatched: Option<usize>,
+    /// Set by [`lead`] once it has fed the backend's outcome to the
     /// circuit breakers, so the worker's panic path does not double-charge.
     accounted: bool,
     /// Absolute deadline (nanoseconds since the service epoch), from
@@ -1275,8 +1236,8 @@ fn wait_on_clock(shared: &Shared, duration: Duration) {
     }
 }
 
-/// The cooperative deadline checkpoint: a [`StageProbe`] tee'd into every
-/// participant's pipeline options when the job has a deadline. Solver loops
+/// The cooperative deadline checkpoint: a [`StageProbe`] tee'd into the
+/// solve's pipeline options when the job has a deadline. Solver loops
 /// poll [`StageProbe::should_stop`] at restart/sweep boundaries; once the
 /// clock passes the absolute deadline the probe answers `true` (and
 /// remembers that it fired), the solvers return their best-so-far, and
@@ -1309,23 +1270,6 @@ impl StageProbe for DeadlineProbe {
     }
 }
 
-/// The cache/flight "requested backend" discriminator for a spec: the
-/// pinned name, the clamped race marker, or `None` for auto-routing. The
-/// marker carries the *clamped* k: `racing(999)` and
-/// `racing(<eligible count>)` run the identical participant set and must
-/// share a cache entry. Registered backend names never contain ':', so the
-/// marker cannot collide with a pinned name.
-fn requested_backend(shared: &Shared, spec: &JobSpec, n_vars: usize) -> Option<String> {
-    match &spec.backend {
-        BackendChoice::Auto => None,
-        BackendChoice::Named(name) => Some(name.clone()),
-        BackendChoice::Race { k } => {
-            let eligible = shared.registry.eligible(n_vars).len();
-            Some(format!("race:{}", (*k).clamp(1, eligible.max(1))))
-        }
-    }
-}
-
 /// Runs one attempt of a job from its route. A cache hit on the canonical
 /// key is served straight away; otherwise the job takes the canonical
 /// single-flight, where permuted-but-identical encodings coalesce too. A
@@ -1342,17 +1286,17 @@ fn process(
     ctx: &mut AttemptCtx,
 ) -> JobOutcome {
     let n_vars = route.qubo.n_vars();
-    let requested = requested_backend(shared, spec, n_vars);
+    // The cache/flight "requested backend" discriminator: the pinned name,
+    // or `None` for auto-routing.
+    let requested = match &spec.backend {
+        BackendChoice::Auto => None,
+        BackendChoice::Named(name) => Some(name.as_str()),
+    };
     if let Some(t) = trace.as_mut() {
         t.fingerprint = route.canonical_fp;
     }
-    let key = CacheKey::new(
-        spec.problem.name(),
-        route.canonical_fp,
-        &spec.options,
-        spec.seed,
-        requested.as_deref(),
-    );
+    let key =
+        CacheKey::new(spec.problem.name(), route.canonical_fp, &spec.options, spec.seed, requested);
     let cached = || shared.cache.get(&key).filter(|cached| cached.fits(n_vars));
     if let Some(cached) = cached() {
         return Ok(serve_hit(shared, spec, route, cached, trace));
@@ -1430,8 +1374,9 @@ fn push_serve_span(
     }
 }
 
-/// Runs a job that leads its single-flight: compile once, then solve — and
-/// publish whatever happened to any parked followers.
+/// Runs a job that leads its single-flight: compile once, route, then
+/// solve on this worker — and publish whatever happened to any parked
+/// followers.
 fn lead(
     shared: &Shared,
     spec: &JobSpec,
@@ -1449,58 +1394,26 @@ fn lead(
     // top rather than being served an occurrence-dependent error as if it
     // were deterministic.
     apply_fault(shared, FaultSite::Compile, None)?;
-    // THE compile of this job: every downstream consumer — presolve and
-    // each dispatched backend (all k of a race) — shares this one
-    // `Arc<CompiledQubo>`. No other stage on the service path compiles.
+    // THE compile of this job: presolve and the dispatched backend share
+    // this one `Arc<CompiledQubo>`. No other stage on the service path
+    // compiles. A retry after a mid-solve failure reuses the attempt
+    // context's compilation; recompiling the bit-identical artifact on
+    // every attempt was the bulk of the per-retry overhead.
     let compile_start_ns = if tracing { shared.now_ns() } else { 0 };
-    // A retry after a mid-solve failure reuses the attempt context's
-    // compilation (`None` seconds — nothing was compiled, so nothing is
-    // reported as compile sharing); recompiling the bit-identical artifact
-    // on every attempt was the bulk of the per-retry overhead.
-    let (compiled, compile_seconds) = match &ctx.compiled {
-        Some(compiled) => (Arc::clone(compiled), None),
-        None => {
-            let compile_start = Instant::now();
-            let compiled = Arc::new(qubo.compile());
-            let seconds = compile_start.elapsed().as_secs_f64();
-            ctx.compiled = Some(Arc::clone(&compiled));
-            (compiled, Some(seconds))
-        }
-    };
+    let compiled = Arc::clone(ctx.compiled.get_or_insert_with(|| Arc::new(qubo.compile())));
     if let Some(t) = trace.as_mut() {
         t.spans.push(Span::new(Stage::Compile, compile_start_ns, shared.now_ns()));
     }
 
-    // Degraded routing: skip backends that failed earlier attempts of this
-    // job and backends whose circuit breaker is open (the check also
-    // half-opens breakers whose cooldown elapsed, making this routing the
-    // probe). Pinned jobs keep their backend — a pin is an instruction, not
-    // a preference. Ranking is priced in expected seconds on the compiled
-    // model's *measured* coupling degree — this is the one decision point
-    // that runs after compilation, so it gets the real shape instead of
-    // the default degree assumption — and half-open breakers surviving the
-    // exclusion are priced up via the capacity discount rather than
-    // treated as fully healthy.
+    // Degraded routing: the ranking skips backends that failed earlier
+    // attempts of this job and backends whose circuit breaker is open, and
+    // puts a half-open breaker's probe first. Pinned jobs keep their
+    // backend — a pin is an instruction, not a preference. Ranking is
+    // priced on the compiled model's *measured* coupling degree: this is
+    // the one decision point that runs after compilation, so it gets the
+    // real shape instead of the default degree assumption.
     let shape = CostShape::with_degree(n_vars, compiled.avg_degree());
-    let excluded = |idx: usize| {
-        ctx.excluded.contains(&idx)
-            || shared.breakers.as_ref().is_some_and(|b| b.is_open(idx, &shared.metrics))
-    };
-    let capacity = |idx: usize| shared.breakers.as_ref().map_or(1.0, |b| b.capacity(idx));
-    // A half-open breaker is an explicit probe request: the backend's
-    // recent failures already price it far down the ranking (success-rate
-    // and capacity penalties), so left to expected seconds alone the probe
-    // would never dispatch and the breaker never resolve. Promote half-open
-    // backends to the front (stable within each group, so the cost order
-    // is otherwise preserved) — the probe's outcome closes or re-opens the
-    // breaker.
-    let probe_first = |mut ranked: Vec<usize>| -> Vec<usize> {
-        if let Some(b) = shared.breakers.as_ref() {
-            ranked.sort_by_key(|&idx| !b.is_half_open(idx));
-        }
-        ranked
-    };
-    let routed: Result<Vec<usize>, JobError> = match &spec.backend {
+    let routed = match &spec.backend {
         BackendChoice::Named(name) => match shared.registry.find(name) {
             None => Err(JobError::UnknownBackend(name.clone())),
             Some(idx) => {
@@ -1508,39 +1421,18 @@ fn lead(
                 if max_vars < n_vars {
                     Err(JobError::BackendTooSmall { backend: name.clone(), max_vars, n_vars })
                 } else {
-                    Ok(vec![idx])
+                    Ok(idx)
                 }
             }
         },
         BackendChoice::Auto => {
-            let ranked = probe_first(shared.portfolio.rank_costed(
-                &shared.registry,
-                shape,
-                excluded,
-                capacity,
-            ));
-            match ranked.first() {
-                Some(&idx) => Ok(vec![idx]),
-                None => Err(JobError::NoEligibleBackend { n_vars }),
-            }
-        }
-        BackendChoice::Race { k } => {
-            let ranked = probe_first(shared.portfolio.rank_costed(
-                &shared.registry,
-                shape,
-                excluded,
-                capacity,
-            ));
-            if ranked.is_empty() {
-                Err(JobError::NoEligibleBackend { n_vars })
-            } else {
-                let k = (*k).clamp(1, ranked.len());
-                Ok(ranked[..k].to_vec())
-            }
+            let breakers = shared.breakers.as_ref().map(|b| (b, &shared.metrics));
+            let ranked = shared.portfolio.rank(&shared.registry, shape, &ctx.excluded, breakers);
+            ranked.first().copied().ok_or(JobError::NoEligibleBackend { n_vars })
         }
     };
-    let participants = match routed {
-        Ok(participants) => participants,
+    let idx = match routed {
+        Ok(idx) => idx,
         Err(err) => {
             // Routing errors are deterministic functions of the spec, so
             // publishing the error serves parked duplicates the exact
@@ -1550,33 +1442,22 @@ fn lead(
             return Err(err);
         }
     };
-    // Record what this attempt dispatches *before* solving: a panic inside
-    // a participant unwinds straight past this function, and the worker
-    // loop charges exactly these indices to the circuit breakers.
-    ctx.attempted = participants.clone();
-    // Quote each participant *now*, before any of them runs: the trace
-    // records the prediction the router actually acted on, not one
-    // recomputed after this very job's observation moved the calibration.
-    let predicted: Vec<f64> = participants
-        .iter()
-        .map(|&idx| {
-            let analytic = analytic_seconds(&shared.registry.get(idx).spec, shape);
-            shared.portfolio.cost_model().predict_seconds(idx, analytic)
-        })
-        .collect();
-    // One compile served every participant; under the old
-    // compile-per-stage scheme each would have compiled.
-    if let Some(compile_seconds) = compile_seconds {
-        shared.metrics.on_compile_shared(compile_seconds, participants.len() as u64);
-    }
+    // Record the dispatch *before* solving: a panic inside the solve
+    // unwinds straight past this function, and the worker loop charges
+    // exactly this index to the circuit breakers.
+    ctx.dispatched = Some(idx);
+    // Quote the backend *now*, before it runs: the trace records the
+    // prediction the router actually acted on, not one recomputed after
+    // this very job's observation moved the calibration.
+    let analytic = analytic_seconds(&shared.registry.get(idx).spec, shape);
+    let predicted = shared.portfolio.cost_model().predict_seconds(idx, analytic);
 
     let naive_lower_bound = compiled.naive_lower_bound();
     apply_fault(shared, FaultSite::Presolve, None)?;
     // Prepare the seed-independent pipeline front half — presolve and
-    // component extraction/compilation — exactly once; every participant
-    // of a race reuses it instead of re-running the fixpoint k times.
-    // Traced jobs run it under a [`StageProfile`] so the presolve span
-    // carries fixpoint round counts; probing never perturbs the result.
+    // component extraction/compilation. Traced jobs run it under a
+    // [`StageProfile`] so the presolve span carries fixpoint round counts;
+    // probing never perturbs the result.
     let prepared = if tracing {
         let (opts, profile) = profiled_options(&spec.options);
         let presolve_start_ns = shared.now_ns();
@@ -1589,62 +1470,13 @@ fn lead(
     } else {
         prepare_pipeline(qubo, &compiled, &spec.options)
     };
-    // The cooperative deadline checkpoint, shared by every participant of
-    // the attempt; constructed only when the job has a deadline, so
-    // deadline-free jobs keep the exact pre-existing probe wiring.
+    // The cooperative deadline checkpoint; constructed only when the job
+    // has a deadline, so deadline-free jobs keep the exact pre-existing
+    // probe wiring.
     let deadline_probe =
         ctx.deadline_at_ns.map(|at| Arc::new(DeadlineProbe::new(shared.epoch, at)));
-    // Solve: every participant runs the back half on the *same* shared
-    // preparation (and therefore the same shared compilation), each under
-    // its own RNG seeded from the job seed, so a single-backend job is
-    // just a race of one. The first participant runs on this worker; the
-    // next ones run on scoped threads, one per idle core the budget
-    // grants, and any beyond the grant run on this worker after the first,
-    // in ranking order. Results land in per-participant slots, so neither
-    // the grant nor completion order can change the outcome.
-    let run = |idx| run_participant(shared, spec, &prepared, idx, tracing, deadline_probe.as_ref());
-    let mut outcomes: Vec<Option<Result<ParticipantRun, JobError>>> =
-        (0..participants.len()).map(|_| None).collect();
-    let grant = cores::grant(participants.len() - 1);
-    let mut slots = outcomes.iter_mut().zip(&participants);
-    if grant.extra() == 0 {
-        // No spawn for a non-race job or on a saturated machine.
-        for (slot, &idx) in slots {
-            *slot = Some(run(idx));
-        }
-    } else {
-        let (first_slot, &first_idx) = slots.next().expect("routing picks at least one backend");
-        std::thread::scope(|scope| {
-            for (slot, &idx) in slots.by_ref().take(grant.extra()) {
-                let (run, grant) = (&run, &grant);
-                scope.spawn(move || {
-                    let _held = grant.enter();
-                    *slot = Some(run(idx));
-                });
-            }
-            *first_slot = Some(run(first_idx));
-            for (slot, &idx) in slots {
-                *slot = Some(run(idx));
-            }
-        });
-    }
-    drop(grant);
+    let solved = solve(shared, spec, &prepared, idx, tracing, deadline_probe.as_ref());
 
-    // Deterministic winner pick among the participants that produced a
-    // result: scan in ranking order with strict `<`, so the best energy
-    // wins and ties go to the higher-ranked backend — independent of which
-    // thread finished first. Participants felled by an injected fault
-    // simply drop out of the scan: a race degrades to its survivors.
-    let mut winner: Option<usize> = None;
-    let mut winner_energy = f64::INFINITY;
-    for (slot, outcome) in outcomes.iter().enumerate() {
-        if let Some(Ok(run)) = outcome {
-            if run.report.energy < winner_energy {
-                winner_energy = run.report.energy;
-                winner = Some(slot);
-            }
-        }
-    }
     // A deadline that fired during the solve (or elapsed around it) turns
     // the truncated best-so-far into a typed failure. The lease drops
     // unpublished and nothing reaches the cache or the portfolio
@@ -1652,87 +1484,49 @@ fn lead(
     // answer, and its artificially short latency must not teach the router.
     if let Some(deadline_at_ns) = ctx.deadline_at_ns {
         if deadline_probe.as_ref().is_some_and(|p| p.fired()) || shared.now_ns() >= deadline_at_ns {
-            let partial = winner.and_then(|slot| match &outcomes[slot] {
-                Some(Ok(run)) => Some(PartialSolution {
-                    bits: run.report.bits.clone(),
-                    energy: run.report.energy,
-                }),
-                _ => None,
+            let partial = solved.ok().map(|solved| PartialSolution {
+                bits: solved.report.bits,
+                energy: solved.report.energy,
             });
             return Err(JobError::DeadlineExceeded { partial });
         }
     }
-    let is_race = matches!(spec.backend, BackendChoice::Race { .. });
-    for (slot, (&idx, outcome)) in participants.iter().zip(&outcomes).enumerate() {
-        let run = match outcome.as_ref().expect("every participant ran") {
-            Ok(run) => run,
-            Err(_) => {
-                // An injected per-backend failure is attributed here, where
-                // the backend is known; the panic path attributes in the
-                // worker loop instead (see `AttemptCtx::accounted`). The
-                // cost model learns the failure too, so an unreliable
-                // backend's *expected* seconds rise even while its latency
-                // EWMA has no new sample.
-                if let Some(breakers) = &shared.breakers {
-                    breakers.on_failure(idx, &shared.metrics);
-                }
-                shared.portfolio.record_failure(idx);
-                continue;
-            }
-        };
-        if let Some(breakers) = &shared.breakers {
-            breakers.on_success(idx, &shared.metrics);
-        }
-        let won = Some(slot) == winner;
-        shared.portfolio.record(
-            &shared.registry,
-            idx,
-            shape,
-            run.seconds,
-            energy_quality(run.report.energy, naive_lower_bound),
-            run.report.decoded.feasible,
-        );
-        if is_race {
-            shared.portfolio.record_race_outcome(idx, won);
-            if !won {
-                // The winner's wall time flows through `on_solved` below;
-                // losers' time must still land in the solve-time total or
-                // race workloads under-report backend cost k-fold.
-                shared.metrics.on_race_participant_time(run.seconds);
-            }
-        }
-        if let Some(t) = trace.as_mut() {
-            // One solve child span per race participant, winner marked, so
-            // the exported timeline shows the whole field — including the
-            // losers' wall time a latency metric alone would hide.
-            let backend = shared.registry.get(idx).spec.name.clone();
-            let span = Span::new(Stage::Solve, run.start_ns, run.end_ns);
-            t.spans.push(
-                span.with_backend(backend).with_stats(run.stats).predicted(predicted[slot], won),
-            );
-        }
-    }
     ctx.accounted = true;
-    let Some(winner_slot) = winner else {
-        // Every participant failed. Propagate the best-ranked failure and
-        // drop the lease unpublished: injected failures are
-        // occurrence-dependent, so a parked follower retrying from the top
-        // may well succeed where this attempt did not.
-        let err = outcomes
-            .into_iter()
-            .flatten()
-            .find_map(|outcome| outcome.err())
-            .expect("no winner means at least one participant failed");
-        return Err(err);
+    let Solved { report, seconds: elapsed, span } = match solved {
+        Ok(solved) => solved,
+        Err(err) => {
+            // An injected backend failure is attributed here, where the
+            // backend is known; the panic path attributes in the worker
+            // loop instead (see `AttemptCtx::accounted`). The cost model
+            // learns the failure too, so an unreliable backend's *expected*
+            // seconds rise even while its latency EWMA has no new sample.
+            // The lease drops unpublished: injected failures are
+            // occurrence-dependent, so a parked follower retrying from the
+            // top may well succeed where this attempt did not.
+            if let Some(breakers) = &shared.breakers {
+                breakers.on_failure(idx, &shared.metrics);
+            }
+            shared.portfolio.record_failure(idx);
+            return Err(err);
+        }
     };
-    let backend_name = shared.registry.get(participants[winner_slot]).spec.name.clone();
-    let ParticipantRun { report, seconds: elapsed, .. } =
-        outcomes.swap_remove(winner_slot).expect("winner ran").expect("winner succeeded");
+    if let Some(breakers) = &shared.breakers {
+        breakers.on_success(idx, &shared.metrics);
+    }
+    shared.portfolio.record(
+        &shared.registry,
+        idx,
+        shape,
+        elapsed,
+        energy_quality(report.energy, naive_lower_bound),
+        report.decoded.feasible,
+    );
+    if let (Some(t), Some(span)) = (trace.as_mut(), span) {
+        t.spans.push(span.predicted(predicted));
+    }
+    let backend_name = shared.registry.get(idx).spec.name.clone();
     apply_fault(shared, FaultSite::Serve, Some(&backend_name))?;
     shared.metrics.on_solved(&backend_name, elapsed);
-    if is_race {
-        shared.metrics.on_race(&backend_name);
-    }
 
     let mut canonical_bits = vec![false; report.bits.len()];
     for (i, &bit) in report.bits.iter().enumerate() {
@@ -1771,34 +1565,28 @@ fn profiled_options(options: &PipelineOptions) -> (PipelineOptions, Arc<StagePro
     (opts, profile)
 }
 
-/// One race participant's result: the pipeline report, its wall time, and —
-/// when the job is traced — the span endpoints and solver-internal counters
-/// its worker collected. Assembled on the participant's own thread; the
-/// leader folds these into the job trace after the scope joins, so racing
-/// threads never touch shared tracing state.
-struct ParticipantRun {
+/// One backend's solve of a job: the pipeline report, its wall time, and —
+/// when the job is traced — its solve span, attributed to the backend and
+/// carrying the solver-internal counters collected during it.
+struct Solved {
     report: PipelineReport,
     seconds: f64,
-    start_ns: u64,
-    end_ns: u64,
-    stats: StageStats,
+    span: Option<Span>,
 }
 
-/// Runs one backend over the job's shared pipeline preparation. Each
-/// participant seeds its own RNG from the job seed, so results do not
-/// depend on scheduling and `Race { k: 1 }` reproduces the auto-routed
-/// result bit-for-bit — traced or not. The [`FaultSite::Solve`] seam fires
-/// here with the backend's name, so a plan can fell one participant of a
-/// race; a `deadline` probe, when present, is tee'd behind any
+/// Runs one backend over the job's pipeline preparation under an RNG
+/// seeded from the job seed, so the result does not depend on scheduling —
+/// traced or not. The [`FaultSite::Solve`] seam fires here with the
+/// backend's name; a `deadline` probe, when present, is tee'd behind any
 /// tracing/user probes so solvers poll it at restart/sweep boundaries.
-fn run_participant(
+fn solve(
     shared: &Shared,
     spec: &JobSpec,
     prepared: &PreparedPipeline<'_>,
     backend_idx: usize,
     tracing: bool,
     deadline: Option<&Arc<DeadlineProbe>>,
-) -> Result<ParticipantRun, JobError> {
+) -> Result<Solved, JobError> {
     let backend = shared.registry.get(backend_idx);
     apply_fault(shared, FaultSite::Solve, Some(&backend.spec.name))?;
     let mut rng = StdRng::seed_from_u64(spec.seed);
@@ -1819,17 +1607,19 @@ fn run_participant(
     let start = Instant::now();
     let report = run_prepared(&*spec.problem, prepared, backend.solver(), options, &mut rng);
     let seconds = start.elapsed().as_secs_f64();
-    let end_ns = if tracing { shared.now_ns() } else { 0 };
-    let stats = profile.map(|profile| profile.snapshot()).unwrap_or_default();
-    Ok(ParticipantRun { report, seconds, start_ns, end_ns, stats })
+    let span = profile.map(|profile| {
+        Span::new(Stage::Solve, start_ns, shared.now_ns())
+            .with_backend(backend.spec.name.clone())
+            .with_stats(profile.snapshot())
+    });
+    Ok(Solved { report, seconds, span })
 }
 
 /// Renders job traces as Chrome `trace_event` JSON (the "JSON Array
 /// Format" with a `traceEvents` wrapper): one complete (`"ph":"X"`) event
 /// per span, timestamps in fractional microseconds since the service
-/// epoch. Every job gets its own thread lane (`tid = job_id·100`); solve
-/// spans — which overlap each other during a race — fan out to
-/// `tid = job_id·100 + 1 + slot`. Hand-rolled because the workspace's
+/// epoch. Every job gets its own thread lane (`tid = job_id`); a job's
+/// spans never overlap. Hand-rolled because the workspace's
 /// serde shim has no serializer; the JSON-validity test in
 /// `tests/observability.rs` keeps it honest.
 fn render_chrome_trace(traces: &[JobTrace]) -> String {
@@ -1847,26 +1637,18 @@ fn render_chrome_trace(traces: &[JobTrace]) -> String {
     out.push_str("{\"traceEvents\":[");
     let mut first = true;
     for trace in traces {
-        let base_tid = trace.job_id * 100;
-        let mut solve_slot = 0u64;
         for span in &trace.spans {
             if !first {
                 out.push(',');
             }
             first = false;
-            let tid = if span.stage == Stage::Solve {
-                solve_slot += 1;
-                base_tid + solve_slot
-            } else {
-                base_tid
-            };
             out.push_str("{\"name\":\"");
             escape(span.stage.name(), &mut out);
             out.push_str("\",\"cat\":\"qdm\",\"ph\":\"X\",\"ts\":");
             out.push_str(&format!("{:.3}", span.start_ns as f64 / 1e3));
             out.push_str(",\"dur\":");
             out.push_str(&format!("{:.3}", span.duration_ns() as f64 / 1e3));
-            out.push_str(&format!(",\"pid\":1,\"tid\":{tid},\"args\":{{"));
+            out.push_str(&format!(",\"pid\":1,\"tid\":{},\"args\":{{", trace.job_id));
             out.push_str(&format!("\"job\":{},\"session\":{}", trace.job_id, trace.session));
             if let Some(shard) = trace.shard {
                 out.push_str(&format!(",\"shard\":{shard}"));
@@ -1884,9 +1666,6 @@ fn render_chrome_trace(traces: &[JobTrace]) -> String {
                 out.push_str(",\"backend\":\"");
                 escape(backend, &mut out);
                 out.push('"');
-            }
-            if span.stage == Stage::Solve {
-                out.push_str(&format!(",\"winner\":{}", span.winner));
             }
             if !span.stats.is_empty() {
                 let s = &span.stats;
@@ -2246,84 +2025,6 @@ mod tests {
         let outcomes = service.run_batch((0..6).map(|i| JobSpec::new(pick(4), i)).collect());
         assert_eq!(outcomes.len(), 6);
         drop(service); // must not hang or panic
-    }
-
-    #[test]
-    fn race_of_one_matches_auto_routing_bit_for_bit() {
-        let auto_service = SolverService::new(ServiceConfig {
-            workers: 1,
-            cache_capacity: 16,
-            ..Default::default()
-        });
-        let race_service = SolverService::new(ServiceConfig {
-            workers: 1,
-            cache_capacity: 16,
-            ..Default::default()
-        });
-        let a = auto_service.run(JobSpec::new(pick(6), 11)).expect("ok");
-        let b = race_service.run(JobSpec::new(pick(6), 11).racing(1)).expect("ok");
-        assert_eq!(a.backend, b.backend);
-        assert_eq!(a.report.bits, b.report.bits);
-        assert_eq!(a.report.energy.to_bits(), b.report.energy.to_bits());
-    }
-
-    #[test]
-    fn race_runs_top_k_and_records_outcomes() {
-        let service = SolverService::new(ServiceConfig {
-            workers: 1,
-            cache_capacity: 16,
-            ..Default::default()
-        });
-        let result = service.run(JobSpec::new(pick(6), 3).racing(3)).expect("ok");
-        assert!(result.report.decoded.feasible);
-        // 6 vars routes exact into the field; nothing can beat a certified
-        // optimum, and exact ranks first, so it wins the tie.
-        assert_eq!(result.backend, "exact");
-        let report = service.report();
-        assert_eq!(report.race_jobs, 1);
-        assert_eq!(report.race_wins, vec![("exact".to_string(), 1)]);
-        assert!((report.compile_seconds_saved) >= 0.0);
-        let entries: u64 = service.shared.portfolio.stats().iter().map(|s| s.race_entries).sum();
-        assert_eq!(entries, 3, "every participant's outcome is recorded");
-        let observations: u64 =
-            service.shared.portfolio.stats().iter().map(|s| s.observations).sum();
-        assert_eq!(observations, 3, "every participant feeds latency/quality telemetry");
-    }
-
-    #[test]
-    fn race_repeat_is_a_cache_hit_and_distinct_from_other_choices() {
-        let service = SolverService::new(ServiceConfig {
-            workers: 2,
-            cache_capacity: 16,
-            ..Default::default()
-        });
-        let first = service.run(JobSpec::new(pick(5), 9).racing(2)).expect("ok");
-        let again = service.run(JobSpec::new(pick(5), 9).racing(2)).expect("ok");
-        assert!(!first.from_cache);
-        assert!(again.from_cache, "identical race jobs share a cache entry");
-        assert_eq!(first.report.bits, again.report.bits);
-        // Same work under Auto or a different k is a different cache row.
-        let auto = service.run(JobSpec::new(pick(5), 9)).expect("ok");
-        assert!(!auto.from_cache, "race and auto results are keyed separately");
-    }
-
-    #[test]
-    fn race_with_zero_k_clamps_and_oversized_k_uses_all_eligible() {
-        let service = SolverService::new(ServiceConfig {
-            workers: 1,
-            cache_capacity: 16,
-            ..Default::default()
-        });
-        let zero = service.run(JobSpec::new(pick(4), 1).racing(0)).expect("k clamps to 1");
-        assert!(zero.report.decoded.feasible);
-        let huge = service.run(JobSpec::new(pick(4), 2).racing(999)).expect("k caps at eligible");
-        assert!(huge.report.decoded.feasible);
-        // The cache key carries the clamped k: any oversized k that clamps
-        // to the same participant set shares the entry.
-        let same_clamp =
-            service.run(JobSpec::new(pick(4), 2).racing(10_000)).expect("k caps at eligible");
-        assert!(same_clamp.from_cache, "clamp-equal oversized races must share a cache entry");
-        assert_eq!(same_clamp.report.bits, huge.report.bits);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! stores recent traces in.
 //!
 //! Every traced job produces one [`JobTrace`]: a span per runtime stage —
-//! queue wait, compile, presolve/decompose preparation, one
-//! solve span per race participant (winner marked), serve — each stamped
+//! queue wait, compile, presolve/decompose preparation, the backend's
+//! solve, serve — each stamped
 //! with monotonic nanosecond timestamps from the service's private epoch
 //! and carrying lane/session/fingerprint attribution plus the
 //! backend-internal [`StageStats`] collected through
@@ -38,7 +38,7 @@ pub enum Stage {
     Compile,
     /// Pipeline preparation: presolve fixpoint + component extraction.
     Presolve,
-    /// One backend solving (one span per race participant).
+    /// The routed backend solving.
     Solve,
     /// Serving a result that was not solved here: cache hit or coalesced.
     Serve,
@@ -107,9 +107,6 @@ pub struct Span {
     pub stage: Stage,
     /// Backend attribution for [`Stage::Solve`] spans.
     pub backend: Option<String>,
-    /// Whether this solve span produced the job's returned result (the race
-    /// winner; trivially true for a single-backend solve).
-    pub winner: bool,
     /// Span start, nanoseconds since the service epoch (monotonic).
     pub start_ns: u64,
     /// Span end, nanoseconds since the service epoch.
@@ -125,12 +122,11 @@ pub struct Span {
 
 impl Span {
     /// A bare span of `stage` over `[start_ns, end_ns]`: no backend, no
-    /// counters, no prediction, not a winner.
+    /// counters, no prediction.
     pub(crate) fn new(stage: Stage, start_ns: u64, end_ns: u64) -> Self {
         Self {
             stage,
             backend: None,
-            winner: false,
             start_ns,
             end_ns,
             stats: StageStats::default(),
@@ -150,11 +146,9 @@ impl Span {
         self
     }
 
-    /// Marks a solve span with the router's latency quote and whether it
-    /// produced the job's result.
-    pub(crate) fn predicted(mut self, seconds: f64, winner: bool) -> Self {
+    /// Marks a solve span with the router's latency quote.
+    pub(crate) fn predicted(mut self, seconds: f64) -> Self {
         self.predicted_seconds = Some(seconds);
-        self.winner = winner;
         self
     }
 
@@ -417,10 +411,9 @@ mod tests {
             outcome: TraceOutcome::Solved,
             backend: Some("tabu".into()),
             shard: None,
-            spans: vec![Span {
-                winner: true,
-                ..Span::new(Stage::Solve, job_id * 10, job_id * 10 + 5).with_backend("tabu".into())
-            }],
+            spans: vec![
+                Span::new(Stage::Solve, job_id * 10, job_id * 10 + 5).with_backend("tabu".into())
+            ],
         }
     }
 

@@ -1,5 +1,5 @@
 //! End-to-end observability tests: the exported Chrome trace of a pinned
-//! racing job carries the full span chain and is valid JSON, Prometheus
+//! job carries the full span chain and is valid JSON, Prometheus
 //! exposition parses and carries the portfolio's EWMA gauges, cache hits
 //! land in the served-latency series, and traced runs are deterministic.
 
@@ -259,9 +259,10 @@ impl<'a> Parser<'a> {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn racing_job_trace_carries_the_full_span_chain() {
+fn solved_job_trace_carries_the_full_span_chain() {
     let service = pinned_service();
-    let result = service.run(JobSpec::new(pick(6), 3).racing(3)).expect("solvable");
+    let result =
+        service.run(JobSpec::new(pick(6), 3).on_backend("simulated-annealing")).expect("solvable");
     assert!(result.report.decoded.feasible);
 
     let traces = service.traces();
@@ -273,51 +274,47 @@ fn racing_job_trace_carries_the_full_span_chain() {
     assert_eq!(trace.seed, 3);
     assert_ne!(trace.fingerprint, 0, "the compile span stamps the canonical fingerprint");
 
-    // Span chain: queued → compile → presolve → 3 solve children.
+    // Span chain: queued → compile → presolve → solve.
     assert!(trace.span(Stage::Queued).is_some(), "queue wait span present");
     let compiles = trace.spans.iter().filter(|s| s.stage == Stage::Compile).count();
     assert_eq!(compiles, 1, "exactly one compile — the compile-once invariant, now visible");
     assert!(trace.span(Stage::Presolve).is_some());
     let solves: Vec<_> = trace.spans.iter().filter(|s| s.stage == Stage::Solve).collect();
-    assert_eq!(solves.len(), 3, "one child span per race participant");
-    assert_eq!(solves.iter().filter(|s| s.winner).count(), 1, "exactly one winner");
-    let winner = solves.iter().find(|s| s.winner).unwrap();
-    assert_eq!(winner.backend.as_deref(), Some(result.backend.as_str()));
+    assert_eq!(solves.len(), 1, "one solve span");
+    let solve = solves[0];
+    assert_eq!(solve.backend.as_deref(), Some(result.backend.as_str()));
+    assert!(solve.predicted_seconds.is_some_and(|p| p > 0.0), "the router's quote: {solve:?}");
     for span in &trace.spans {
         assert!(span.end_ns >= span.start_ns, "monotonic span: {span:?}");
     }
     // Chronology: queued ends before compile starts, compile before
-    // presolve, presolve before every solve.
+    // presolve, presolve before the solve.
     let queued = trace.span(Stage::Queued).unwrap();
     let compile = trace.span(Stage::Compile).unwrap();
     let presolve = trace.span(Stage::Presolve).unwrap();
     assert!(queued.end_ns <= compile.start_ns);
     assert!(compile.end_ns <= presolve.start_ns);
-    for solve in &solves {
-        assert!(presolve.end_ns <= solve.start_ns);
-    }
-    // The heuristic participants ran actual restarts; the exact solver's
-    // enumeration reports none. Summed over the field, some solver activity
-    // must have been profiled.
-    let restarts: u64 = solves.iter().map(|s| s.stats.restarts).sum();
-    let proposals: u64 = solves.iter().map(|s| s.stats.proposals).sum();
-    assert!(restarts >= 1, "probed restart counters reached the trace");
-    assert!(proposals >= 1);
+    assert!(presolve.end_ns <= solve.start_ns);
+    // The annealer ran actual restarts, and the probe profiled them.
+    assert!(solve.stats.restarts >= 1, "probed restart counters reached the trace");
+    assert!(solve.stats.proposals >= 1);
 }
 
 #[test]
 fn exported_chrome_trace_round_trips_through_json() {
     let service = pinned_service();
-    service.run(JobSpec::new(pick(6), 3).racing(3)).expect("solvable");
+    service.run(JobSpec::new(pick(6), 3).on_backend("simulated-annealing")).expect("solvable");
     let exported = service.export_traces();
 
     let doc = Parser::parse(&exported).expect("export is valid JSON");
     let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents array");
-    assert_eq!(events.len(), 6, "queued + compile + presolve + 3 solves");
+    assert_eq!(events.len(), 4, "queued + compile + presolve + solve");
     for event in events {
         assert_eq!(event.get("ph").and_then(Json::as_str), Some("X"), "complete events");
         assert_eq!(event.get("cat").and_then(Json::as_str), Some("qdm"));
         assert_eq!(event.get("pid").and_then(Json::as_num), Some(1.0));
+        // The job's spans never overlap, so they share the job's lane.
+        assert_eq!(event.get("tid").and_then(Json::as_num), Some(0.0), "tid is the job id");
         assert!(event.get("ts").and_then(Json::as_num).is_some());
         assert!(event.get("dur").and_then(Json::as_num).unwrap() >= 0.0);
         let args = event.get("args").expect("args object");
@@ -327,26 +324,9 @@ fn exported_chrome_trace_round_trips_through_json() {
     }
     let names: Vec<&str> =
         events.iter().filter_map(|e| e.get("name").and_then(Json::as_str)).collect();
-    assert_eq!(names[..3], ["queued", "compile", "presolve"], "main chain in order");
-    assert_eq!(names.iter().filter(|&&n| n == "solve").count(), 3);
-    // Solve spans carry the winner flag; exactly one is true. They also get
-    // distinct tids so overlapping race spans render as separate lanes.
-    let mut winner_count = 0;
-    let mut solve_tids = Vec::new();
-    for event in events {
-        if event.get("name").and_then(Json::as_str) == Some("solve") {
-            let args = event.get("args").unwrap();
-            assert!(args.get("backend").and_then(Json::as_str).is_some());
-            if args.get("winner") == Some(&Json::Bool(true)) {
-                winner_count += 1;
-            }
-            solve_tids.push(event.get("tid").and_then(Json::as_num).unwrap() as u64);
-        }
-    }
-    assert_eq!(winner_count, 1, "exactly one winner across the race");
-    solve_tids.sort_unstable();
-    solve_tids.dedup();
-    assert_eq!(solve_tids.len(), 3, "each race participant gets its own tid");
+    assert_eq!(names, ["queued", "compile", "presolve", "solve"], "the chain in order");
+    let solve_args = events[3].get("args").unwrap();
+    assert_eq!(solve_args.get("backend").and_then(Json::as_str), Some("simulated-annealing"));
 }
 
 #[test]
@@ -408,10 +388,10 @@ fn cache_hits_and_coalesced_jobs_land_in_served_latency() {
 #[test]
 fn prometheus_exposition_from_a_live_service_parses_and_carries_ewma_gauges() {
     let service = pinned_service();
-    service.run(JobSpec::new(pick(6), 3).racing(2)).expect("ok");
-    service.run(JobSpec::new(pick(6), 3).racing(2)).expect("cache hit");
+    service.run(JobSpec::new(pick(6), 3)).expect("ok");
+    service.run(JobSpec::new(pick(6), 3)).expect("cache hit");
     let report = service.report();
-    assert!(!report.backend_telemetry.is_empty(), "racing populated the portfolio EWMAs");
+    assert!(!report.backend_telemetry.is_empty(), "the solve populated the portfolio EWMAs");
     let text = report.render_prometheus();
 
     for line in text.lines() {
@@ -439,7 +419,6 @@ fn prometheus_exposition_from_a_live_service_parses_and_carries_ewma_gauges() {
         );
     }
     assert!(text.contains("qdm_traces_recorded_total 2\n"));
-    assert!(text.contains("qdm_race_jobs_total 1\n"));
     assert!(text.contains("qdm_served_latency_seconds_count 2\n"));
     assert!(text.contains("qdm_solve_latency_seconds_count 1\n"));
 }
@@ -449,11 +428,11 @@ fn pinned_single_worker_runs_trace_deterministically() {
     // Two fresh single-worker services, same submission sequence: the span
     // structure (everything except wall-clock timestamps) must be
     // identical run to run.
-    type SpanShape = (Stage, Option<String>, bool, u64, u64);
+    type SpanShape = (Stage, Option<String>, u64, u64);
     fn shape() -> Vec<(u64, TraceOutcome, Vec<SpanShape>)> {
         let service = pinned_service();
         let specs: Vec<JobSpec> = vec![
-            JobSpec::new(pick(6), 3).racing(3),
+            JobSpec::new(pick(6), 3).on_backend("simulated-annealing"),
             JobSpec::new(pick(5), 9),
             JobSpec::new(pick(5), 9), // cache hit
             JobSpec::new(pick(7), 1).on_backend("tabu"),
@@ -470,9 +449,7 @@ fn pinned_single_worker_runs_trace_deterministically() {
                     t.outcome,
                     t.spans
                         .into_iter()
-                        .map(|s| {
-                            (s.stage, s.backend, s.winner, s.stats.restarts, s.stats.proposals)
-                        })
+                        .map(|s| (s.stage, s.backend, s.stats.restarts, s.stats.proposals))
                         .collect(),
                 )
             })

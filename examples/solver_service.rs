@@ -112,40 +112,7 @@ fn main() {
     }
     println!("{hits}/{} repeats served from cache, all bit-identical", second.len());
 
-    // --- Third pass: compile-once portfolio races. ------------------------
-    // Each job compiles its QUBO exactly once; the portfolio's top-3
-    // backends race that single shared compilation on scoped threads, and
-    // the deterministic winner (best energy, ties to the higher-ranked
-    // backend) is returned, cached, and fed back into the scheduler.
-    println!("\nracing the portfolio's top 3 backends on each problem...");
-    let race_batch: Vec<JobSpec> = problems
-        .iter()
-        .enumerate()
-        .map(|(i, (_, problem))| {
-            JobSpec::new(Arc::clone(problem), 2000 + i as u64)
-                .with_options(options.clone())
-                .racing(3)
-        })
-        .collect();
-    let raced = service.run_batch(race_batch.clone());
-    for ((label, _), outcome) in problems.iter().zip(&raced) {
-        let r = outcome.as_ref().expect("every race routes");
-        assert!(!r.from_cache, "first race of each job must actually solve");
-        println!("  {label:<10} won by {:<28} energy {:>9.3}", r.backend, r.report.energy);
-    }
-    let raced_again = service.run_batch(race_batch);
-    for (a, b) in raced.iter().zip(&raced_again) {
-        let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-        assert!(b.from_cache, "identical race jobs are cache hits");
-        assert_eq!(a.report.bits, b.report.bits, "cached race result must be bit-identical");
-    }
-    println!(
-        "  repeats: {}/{} served from cache, all bit-identical",
-        raced_again.len(),
-        raced.len()
-    );
-
-    // --- Fourth pass: the asynchronous session API. -----------------------
+    // --- Third pass: the asynchronous session API. ------------------------
     // A bounded session queue (4 slots): `submit` blocks under backpressure
     // instead of buffering without limit, each job returns a handle, and
     // `completions()` streams results in finish order so decode work can
@@ -172,7 +139,7 @@ fn main() {
         assert!(r.from_cache, "{label}: auto-routed resubmission must hit the cache");
     }
 
-    // --- Fifth pass: thundering-herd suppression. -------------------------
+    // --- Fourth pass: thundering-herd suppression. ------------------------
     // Four copies of one brand-new job submitted at once: all four miss the
     // cache, but the single-flight table guarantees exactly one actually
     // compiles and solves — the duplicates either coalesce onto the leader
@@ -207,12 +174,6 @@ fn main() {
     assert!(report.cache_hit_rate() > 0.0, "repeat batch must produce cache hits");
     assert!(report.per_backend.len() >= 3, "work must have been spread across at least 3 backends");
     assert_eq!(report.queue_depth, 0, "graceful teardown leaves no queued work");
-    assert_eq!(report.race_jobs as usize, problems.len(), "one race per problem actually solved");
-    assert!(!report.race_wins.is_empty(), "race wins are attributed per backend");
-    assert!(
-        report.compile_seconds_saved > 0.0,
-        "compile-once sharing must be visible in the ledger"
-    );
 
     // --- Observability: stage breakdown, quantiles, trace export. ---------
     // Tracing is on by default: every job above left a span timeline in the

@@ -59,6 +59,17 @@ impl Gate {
     }
 }
 
+/// Opens its gate when dropped. Declared after the service and its
+/// sessions, it drops first, so a failed assertion unwinds through their
+/// teardown instead of hanging on a worker still parked in the gate.
+struct OpenOnDrop(Arc<Gate>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.open();
+    }
+}
+
 /// A job that parks its worker on the gate inside `to_qubo`, simulating a
 /// slow solver deterministically.
 struct Blocker {
@@ -137,6 +148,7 @@ fn bounded_queue_rejects_and_blocks_under_slow_solver() {
         SolverService::new(ServiceConfig { workers: 1, cache_capacity: 16, ..Default::default() });
     let session = service.session(SessionConfig { queue_capacity: 2, ..Default::default() });
     let gate = Arc::new(Gate::default());
+    let _unwedge = OpenOnDrop(Arc::clone(&gate));
 
     // The single worker picks the blocker up and parks; the queue is empty.
     let blocker = session.submit(JobSpec::new(Arc::new(Blocker { gate: Arc::clone(&gate) }), 1));
@@ -182,6 +194,7 @@ fn cancelling_a_queued_job_removes_it_before_any_worker() {
         SolverService::new(ServiceConfig { workers: 1, cache_capacity: 16, ..Default::default() });
     let session = service.session(SessionConfig { queue_capacity: 8, ..Default::default() });
     let gate = Arc::new(Gate::default());
+    let _unwedge = OpenOnDrop(Arc::clone(&gate));
 
     let blocker = session.submit(JobSpec::new(Arc::new(Blocker { gate: Arc::clone(&gate) }), 1));
     gate.wait_started();
@@ -243,6 +256,7 @@ fn high_priority_jobs_jump_the_queue() {
         SolverService::new(ServiceConfig { workers: 1, cache_capacity: 16, ..Default::default() });
     let session = service.session(SessionConfig { queue_capacity: 8, ..Default::default() });
     let gate = Arc::new(Gate::default());
+    let _unwedge = OpenOnDrop(Arc::clone(&gate));
 
     let blocker = session.submit(JobSpec::new(Arc::new(Blocker { gate: Arc::clone(&gate) }), 1));
     gate.wait_started();
@@ -266,6 +280,7 @@ fn repeated_cancel_of_a_running_job_counts_once() {
         SolverService::new(ServiceConfig { workers: 1, cache_capacity: 16, ..Default::default() });
     let session = service.session(SessionConfig { queue_capacity: 8, ..Default::default() });
     let gate = Arc::new(Gate::default());
+    let _unwedge = OpenOnDrop(Arc::clone(&gate));
 
     let blocker = session.submit(JobSpec::new(Arc::new(Blocker { gate: Arc::clone(&gate) }), 1));
     gate.wait_started();
@@ -297,6 +312,7 @@ fn job_cancelled_mid_run_counts_cancelled_not_completed_yet_still_caches() {
         SolverService::new(ServiceConfig { workers: 1, cache_capacity: 16, ..Default::default() });
     let session = service.session(SessionConfig { queue_capacity: 8, ..Default::default() });
     let gate = Arc::new(Gate::default());
+    let _unwedge = OpenOnDrop(Arc::clone(&gate));
 
     let blocker = session.submit(JobSpec::new(Arc::new(Blocker { gate: Arc::clone(&gate) }), 1));
     gate.wait_started();
@@ -328,6 +344,7 @@ fn job_cancelled_mid_run_that_fails_routing_counts_cancelled_not_failed() {
         SolverService::new(ServiceConfig { workers: 1, cache_capacity: 16, ..Default::default() });
     let session = service.session(SessionConfig { queue_capacity: 8, ..Default::default() });
     let gate = Arc::new(Gate::default());
+    let _unwedge = OpenOnDrop(Arc::clone(&gate));
 
     // The job blocks in `to_qubo`, is cancelled while running, and then
     // fails routing (unknown backend). It counted in `jobs_failed`, and the

@@ -46,6 +46,17 @@ impl Gate {
     }
 }
 
+/// Opens its gate when dropped. Declared after the service and its
+/// sessions, it drops first, so a failed assertion unwinds through their
+/// teardown instead of hanging on a worker still parked in the gate.
+struct OpenOnDrop(Arc<Gate>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.open();
+    }
+}
+
 /// Parks the single worker inside `to_qubo` so the test can queue a full
 /// backlog behind it before any scheduling decision is made.
 struct Blocker {
@@ -120,6 +131,7 @@ fn low_priority_job_completes_within_the_aging_bound_under_sustained_high_traffi
         SolverService::new(ServiceConfig { workers: 1, cache_capacity: 256, ..Default::default() });
     let session = service.session(SessionConfig { queue_capacity: 64, ..Default::default() });
     let gate = Arc::new(Gate::default());
+    let _unwedge = OpenOnDrop(Arc::clone(&gate));
     let log: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
 
     // Park the only worker, then queue a sustained High backlog with one
@@ -151,6 +163,7 @@ fn a_deep_session_cannot_monopolize_the_pool_against_a_light_one() {
     let deep = service.session(SessionConfig { queue_capacity: 32, ..Default::default() });
     let light = service.session(SessionConfig { queue_capacity: 8, ..Default::default() });
     let gate = Arc::new(Gate::default());
+    let _unwedge = OpenOnDrop(Arc::clone(&gate));
     let log: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
 
     // The deep session queues ten 6-var jobs before the light session
@@ -192,6 +205,7 @@ fn mixed_priority_two_session_backlog_drains_in_a_pinned_fair_order() {
     let deep = service.session(SessionConfig { queue_capacity: 32, ..Default::default() });
     let light = service.session(SessionConfig { queue_capacity: 8, ..Default::default() });
     let gate = Arc::new(Gate::default());
+    let _unwedge = OpenOnDrop(Arc::clone(&gate));
     let log: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
 
     let blocker = deep.submit(JobSpec::new(Arc::new(Blocker { gate: Arc::clone(&gate) }), 1));

@@ -80,8 +80,8 @@ fn assert_balanced(report: &RuntimeReport) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault matrix: every action at every seam, racing and non-racing, with
-// retry enabled — every job must still resolve successfully.
+// Fault matrix: every action at every seam, with retry enabled — every job
+// must still resolve successfully.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -92,25 +92,18 @@ fn fault_matrix_every_site_and_action_resolves_with_retry() {
         FaultAction::Error("matrix error".into()),
         FaultAction::Delay(Duration::from_millis(2)),
     ];
-    for racing in [false, true] {
-        for site in sites {
-            for action in &actions {
-                let plan =
-                    Arc::new(FaultPlan::new().fail_at(site, FaultWhen::Nth(1), action.clone()));
-                let service = faulted_service(Arc::clone(&plan), 2);
-                let mut spec = JobSpec::new(pick(5), 11);
-                if racing {
-                    spec = spec.racing(2);
-                }
-                let label = format!("site={} action={action:?} racing={racing}", site.name());
-                let outcome = service.run(spec);
-                assert!(outcome.is_ok(), "{label}: job must survive the fault: {outcome:?}");
-                assert_eq!(plan.fired(), 1, "{label}: the armed fault must actually fire");
-                let report = service.report();
-                assert_eq!(report.jobs_completed, 1, "{label}");
-                assert_eq!(report.jobs_failed, 0, "{label}");
-                assert_balanced(&report);
-            }
+    for site in sites {
+        for action in &actions {
+            let plan = Arc::new(FaultPlan::new().fail_at(site, FaultWhen::Nth(1), action.clone()));
+            let service = faulted_service(Arc::clone(&plan), 2);
+            let label = format!("site={} action={action:?}", site.name());
+            let outcome = service.run(JobSpec::new(pick(5), 11));
+            assert!(outcome.is_ok(), "{label}: job must survive the fault: {outcome:?}");
+            assert_eq!(plan.fired(), 1, "{label}: the armed fault must actually fire");
+            let report = service.report();
+            assert_eq!(report.jobs_completed, 1, "{label}");
+            assert_eq!(report.jobs_failed, 0, "{label}");
+            assert_balanced(&report);
         }
     }
 }
