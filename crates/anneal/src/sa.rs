@@ -93,6 +93,35 @@ impl SaParams {
 /// per-class coordination.
 pub const COLORED_SWEEP_MIN_VARS: usize = 512;
 
+/// The Metropolis test for a proposal that changes the energy by `delta` at
+/// temperature `t > 0`: a downhill or flat move is taken without a draw; an
+/// uphill move takes `u` from `draw` and is taken iff
+/// `u < (-delta / t).exp()`.
+///
+/// Most uphill proposals are clear rejections, so `u` is first held against
+/// the cubic Taylor bound `exp(-z) ≤ 1 / (1 + z + z²/2 + z³/6)`,
+/// `z = delta / t ≥ 0`, and rejected without `exp()` when
+/// `u·(1 + z + z²/2 + z³/6) ≥ 1 + 1e-9`. That margin is far above the few
+/// ulps of rounding in the polynomial and in `exp()`, so the shortcut only
+/// rejects proposals the plain test rejects. The rest, and any NaN, fall
+/// through to `(-z).exp()`, which equals `(-delta / t).exp()` bit for bit
+/// because IEEE negation commutes with division. Every decision is
+/// therefore the plain test's for `u` in `[0, 1)` that is zero or at least
+/// 2⁻¹⁰²², which covers every `Rng::random::<f64>` draw (multiples of
+/// 2⁻⁵³).
+#[inline(always)]
+pub(crate) fn metropolis(delta: f64, t: f64, draw: impl FnOnce() -> f64) -> bool {
+    if delta <= 0.0 {
+        return true;
+    }
+    let u = draw();
+    let z = delta / t;
+    if u * (1.0 + z + 0.5 * z * z + z * z * z / 6.0) >= 1.0 + 1e-9 {
+        return false;
+    }
+    u < (-z).exp()
+}
+
 /// One annealing restart on the compiled form: random init, Metropolis
 /// sweeps with incremental local fields, best-seen tracking. Reuses the
 /// caller's `x` / `local` buffers; updates `best` / `best_bits` in place and
@@ -122,9 +151,8 @@ fn anneal_restart(
         let t = params.schedule.temperature(params.t_start, params.t_end, frac).max(1e-12);
         for i in 0..n {
             let delta = if x[i] { -local[i] } else { local[i] };
-            let accept = delta <= 0.0 || rng.random::<f64>() < (-delta / t).exp();
             evals += 1;
-            if accept {
+            if metropolis(delta, t, || rng.random::<f64>()) {
                 accepted += 1;
                 energy += c.apply_flip(x, local, i);
                 if energy < *best {
@@ -447,7 +475,7 @@ fn decide_class(
     let eval = |members: &[u32], u: &[f64], decisions: &mut [(f64, bool)]| {
         for (k, &i) in members.iter().enumerate() {
             let d = c.flip_delta(x, i as usize);
-            decisions[k] = (d, d <= 0.0 || u[k] < (-d / t).exp());
+            decisions[k] = (d, metropolis(d, t, || u[k]));
         }
     };
     let threads = threads.min(class.len() / MIN_CLASS_CHUNK).max(1);
@@ -613,6 +641,79 @@ mod tests {
             }
         }
         q
+    }
+
+    #[test]
+    fn metropolis_decides_and_draws_exactly_as_the_plain_exp_test() {
+        use std::cell::Cell;
+        let check = |delta: f64, t: f64, u: f64| {
+            let plain = delta <= 0.0 || u < (-delta / t).exp();
+            let draws = Cell::new(0);
+            let got = metropolis(delta, t, || {
+                draws.set(draws.get() + 1);
+                u
+            });
+            assert_eq!(got, plain, "delta {delta:e}, t {t:e}, u {u:e}");
+            // The draw happens exactly when the plain test draws, so the
+            // RNG stream is unchanged too.
+            let uphill_or_nan = delta > 0.0 || delta.is_nan();
+            assert_eq!(draws.get(), usize::from(uphill_or_nan), "delta {delta:e}");
+        };
+        // `u` on, and one ulp either side of, the value the plain test
+        // compares against: only the `exp()` fall-through can decide these.
+        let around_boundary = |delta: f64, t: f64| {
+            let e = (-delta / t).exp();
+            if e.is_normal() {
+                for u in [f64::from_bits(e.to_bits() - 1), e, f64::from_bits(e.to_bits() + 1)] {
+                    if u < 1.0 {
+                        check(delta, t, u);
+                    }
+                }
+            }
+        };
+
+        let temps = [1e-12, 1e-6, 0.05, 1.0, 10.0, 1e6, 1e300];
+        let deltas = [
+            0.0,
+            -0.0,
+            -1.0,
+            f64::NEG_INFINITY,
+            5e-324, // the smallest subnormal
+            2.2e-310,
+            f64::MIN_POSITIVE,
+            1e-300,
+            1e-12,
+            1e-9,
+            0.5,
+            1.0,
+            3.0,
+            700.0,
+            1e6,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        let unit = 1.0 / (1u64 << 53) as f64;
+        let us = [0.0, unit, 1e-3, 0.5, 1.0 - unit, f64::NAN];
+        for &t in &temps {
+            for &delta in &deltas {
+                for &u in &us {
+                    check(delta, t, u);
+                }
+                around_boundary(delta, t);
+            }
+        }
+
+        // Random proposals over the `z = delta / t` range annealing visits,
+        // with the uniform draws an `Rng` makes.
+        let mut rng = StdRng::seed_from_u64(27);
+        for _ in 0..200_000 {
+            let t = 10f64.powf(rng.random_range(-3.0..2.0));
+            let delta = t * 10f64.powf(rng.random_range(-6.0..2.0));
+            check(delta, t, rng.random::<f64>());
+            around_boundary(delta, t);
+        }
     }
 
     #[test]

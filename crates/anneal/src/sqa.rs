@@ -9,6 +9,7 @@
 //! `J_perp = -(P*T/2) * ln tanh(Gamma / (P*T))` that strengthens as the
 //! transverse field `Gamma` anneals towards zero.
 
+use crate::sa::metropolis;
 use qdm_qubo::compiled::CompiledQubo;
 use qdm_qubo::model::QuboModel;
 use qdm_qubo::probe::{NoProbe, RestartStats, StageProbe};
@@ -218,9 +219,7 @@ pub fn simulated_quantum_annealing_probed(
                 let delta = classical_delta + quantum_delta;
                 evals += 1;
                 proposals += 1;
-                if delta <= 0.0
-                    || rng.random::<f64>() < (-delta / params.temperature.max(1e-12)).exp()
-                {
+                if metropolis(delta, params.temperature.max(1e-12), || rng.random::<f64>()) {
                     spins[r][i] = -si;
                     accepted += 1;
                 }

@@ -235,22 +235,24 @@ pub fn e18_hybrid(clusters: usize, queries_per_cluster: usize) -> Report {
     let mut rng = StdRng::seed_from_u64(1800);
     let plans_per_query = 2;
     let n_queries = clusters * queries_per_cluster;
-    let mut inst = MqoInstance::generate(n_queries, plans_per_query, 0.0, &mut rng);
+    let plans = MqoInstance::generate(n_queries, plans_per_query, 0.0, &mut rng);
+    let mut savings = Vec::new();
     for c in 0..clusters {
         let lo = c * queries_per_cluster;
         for q1 in lo..lo + queries_per_cluster {
             for q2 in (q1 + 1)..lo + queries_per_cluster {
-                for p1 in inst.plans_of(q1) {
-                    for p2 in inst.plans_of(q2) {
+                for p1 in plans.plans_of(q1) {
+                    for p2 in plans.plans_of(q2) {
                         if rng.random::<f64>() < 0.5 {
-                            let cap = inst.plan_cost[p1].min(inst.plan_cost[p2]);
-                            inst.savings.push((p1 as u32, p2 as u32, 0.3 * cap));
+                            let cap = plans.plan_cost[p1].min(plans.plan_cost[p2]);
+                            savings.push((p1 as u32, p2 as u32, 0.3 * cap));
                         }
                     }
                 }
             }
         }
     }
+    let inst = MqoInstance::new(n_queries, plans.plan_query, plans.plan_cost, &savings);
     let problem = MqoProblem::new(inst);
     let mut r = Report::new(
         "E18 — hybrid decomposition (Sec. III-C.2): query clustering shrinks the quantum job",

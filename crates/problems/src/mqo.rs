@@ -18,6 +18,11 @@ use qdm_qubo::penalty;
 use rand::Rng;
 
 /// An MQO instance.
+///
+/// The savings are the bulk of an instance (a service holds one per queued
+/// or delivered job), so they are stored compactly, grouped by first plan:
+/// row offsets per plan, then a `u32` partner and an `f64` saving per pair,
+/// 12 bytes a pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MqoInstance {
     /// Number of queries.
@@ -28,13 +33,58 @@ pub struct MqoInstance {
     pub plan_query: Vec<u32>,
     /// Cost of each plan.
     pub plan_cost: Vec<f64>,
-    /// Savings for co-selecting plan pairs `(p, q, saving)` with
-    /// `plan_query[p] != plan_query[q]` and `saving > 0`, in the order they
-    /// were drawn (the order [`MqoProblem::to_qubo`] adds them in).
-    pub savings: Vec<(u32, u32, f64)>,
+    /// The savings whose first plan is `p` sit at
+    /// `saving_rows[p]..saving_rows[p + 1]` of the two arrays below.
+    saving_rows: Vec<u32>,
+    saving_partner: Vec<u32>,
+    saving_value: Vec<f64>,
 }
 
 impl MqoInstance {
+    /// Builds an instance from its plans and its savings `(p, q, saving)`:
+    /// co-selecting plans `p` and `q` of different queries saves
+    /// `saving > 0`. The savings are grouped by first plan `p`, keeping the
+    /// given order within a group; [`Self::savings`] yields them in that
+    /// order.
+    ///
+    /// # Panics
+    /// Panics if `plan_query` and `plan_cost` differ in length, if a saving
+    /// names a plan out of range, or if plans or savings exceed `u32`
+    /// indices.
+    pub fn new(
+        n_queries: usize,
+        plan_query: Vec<u32>,
+        plan_cost: Vec<f64>,
+        savings: &[(u32, u32, f64)],
+    ) -> Self {
+        let n_plans = plan_cost.len();
+        assert_eq!(plan_query.len(), n_plans, "one query per plan");
+        assert!(u32::try_from(n_plans).is_ok(), "{n_plans} plans exceed u32 plan indices");
+        assert!(u32::try_from(savings.len()).is_ok(), "savings exceed u32 indices");
+        // A stable counting sort by first plan.
+        let mut saving_rows = vec![0u32; n_plans + 1];
+        for &(p, q, _) in savings {
+            assert!(
+                (p as usize) < n_plans && (q as usize) < n_plans,
+                "saving ({p}, {q}) out of range"
+            );
+            saving_rows[p as usize + 1] += 1;
+        }
+        for p in 0..n_plans {
+            saving_rows[p + 1] += saving_rows[p];
+        }
+        let mut next: Vec<u32> = saving_rows[..n_plans].to_vec();
+        let mut saving_partner = vec![0u32; savings.len()];
+        let mut saving_value = vec![0.0f64; savings.len()];
+        for &(p, q, s) in savings {
+            let at = next[p as usize] as usize;
+            next[p as usize] += 1;
+            saving_partner[at] = q;
+            saving_value[at] = s;
+        }
+        Self { n_queries, plan_query, plan_cost, saving_rows, saving_partner, saving_value }
+    }
+
     /// Generates a random instance: `n_queries` queries with
     /// `plans_per_query` alternatives each, costs in `[10, 100)`, and each
     /// cross-query plan pair sharing intermediates with probability
@@ -59,9 +109,18 @@ impl MqoInstance {
                 }
             }
         }
-        // Drop the doubling slack: the instance outlives generation.
-        savings.shrink_to_fit();
-        Self { n_queries, plan_query, plan_cost, savings }
+        Self::new(n_queries, plan_query, plan_cost, &savings)
+    }
+
+    /// The savings `(p, q, saving)`, by ascending first plan `p` and in
+    /// insertion order within one `p` (for a generated instance, the order
+    /// they were drawn in). [`MqoProblem::to_qubo`] and [`Self::objective`]
+    /// add them in this order.
+    pub fn savings(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+        self.saving_rows.windows(2).enumerate().flat_map(move |(p, row)| {
+            (row[0] as usize..row[1] as usize)
+                .map(move |k| (p, self.saving_partner[k] as usize, self.saving_value[k]))
+        })
     }
 
     /// Number of plan variables.
@@ -79,8 +138,8 @@ impl MqoInstance {
     pub fn objective(&self, selection: &[usize]) -> f64 {
         assert_eq!(selection.len(), self.n_queries);
         let mut total: f64 = selection.iter().map(|&p| self.plan_cost[p]).sum();
-        for &(p, q, s) in &self.savings {
-            if selection.contains(&(p as usize)) && selection.contains(&(q as usize)) {
+        for (p, q, s) in self.savings() {
+            if selection.contains(&p) && selection.contains(&q) {
                 total -= s;
             }
         }
@@ -168,7 +227,7 @@ impl MqoProblem {
     /// (larger than any achievable objective swing).
     pub fn new(instance: MqoInstance) -> Self {
         let cost_span: f64 = instance.plan_cost.iter().fold(0.0f64, |m, &c| m.max(c));
-        let saving_span: f64 = instance.savings.iter().map(|&(_, _, s)| s).sum();
+        let saving_span: f64 = instance.savings().map(|(_, _, s)| s).sum();
         Self { penalty_weight: 2.0 * (cost_span + saving_span).max(1.0), instance }
     }
 
@@ -205,8 +264,8 @@ impl DmProblem for MqoProblem {
         for (p, &c) in self.instance.plan_cost.iter().enumerate() {
             q.add_linear(p, c);
         }
-        for &(p1, p2, s) in &self.instance.savings {
-            q.add_quadratic(p1 as usize, p2 as usize, -s);
+        for (p1, p2, s) in self.instance.savings() {
+            q.add_quadratic(p1, p2, -s);
         }
         for query in 0..self.instance.n_queries {
             penalty::exactly_one(&mut q, &self.instance.plans_of(query), self.penalty_weight);
@@ -276,8 +335,9 @@ mod tests {
         assert_eq!(inst.n_plans(), 12);
         assert_eq!(inst.plans_of(0), vec![0, 1, 2]);
         assert_eq!(inst.plans_of(3), vec![9, 10, 11]);
-        for &(p, q, s) in &inst.savings {
-            assert_ne!(inst.plan_query[p as usize], inst.plan_query[q as usize]);
+        for (p, q, s) in inst.savings() {
+            assert!(p < q);
+            assert_ne!(inst.plan_query[p], inst.plan_query[q]);
             assert!(s > 0.0);
         }
     }
@@ -285,8 +345,40 @@ mod tests {
     #[test]
     fn generated_savings_carry_no_growth_slack() {
         let inst = instance(2, 32, 4);
-        assert!(inst.savings.len() > 100);
-        assert_eq!(inst.savings.capacity(), inst.savings.len());
+        let pairs = inst.savings().count();
+        assert!(pairs > 100);
+        assert_eq!(inst.saving_partner.capacity(), pairs);
+        assert_eq!(inst.saving_value.capacity(), pairs);
+        assert_eq!(inst.saving_rows.capacity(), inst.n_plans() + 1);
+    }
+
+    #[test]
+    fn new_groups_savings_by_first_plan_and_keeps_their_order() {
+        let generated = instance(4, 6, 3);
+        let listed: Vec<(u32, u32, f64)> =
+            generated.savings().map(|(p, q, s)| (p as u32, q as u32, s)).collect();
+        assert!(listed.len() > 10);
+        // Rebuilding from the list gives back the same instance...
+        let rebuilt = MqoInstance::new(
+            generated.n_queries,
+            generated.plan_query.clone(),
+            generated.plan_cost.clone(),
+            &listed,
+        );
+        assert_eq!(rebuilt, generated);
+        // ...and so does any order that keeps each first plan's pairs in
+        // sequence, such as the groups listed last plan first.
+        let mut regrouped = listed.clone();
+        regrouped.sort_by_key(|&(p, _, _)| std::cmp::Reverse(p));
+        let regrouped = MqoInstance::new(
+            generated.n_queries,
+            generated.plan_query.clone(),
+            generated.plan_cost.clone(),
+            &regrouped,
+        );
+        let got: Vec<_> = regrouped.savings().collect();
+        let want: Vec<_> = generated.savings().collect();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -321,15 +413,14 @@ mod tests {
             plan_query[t] = inst.plan_query[p];
             plan_cost[t] = inst.plan_cost[p];
         }
-        let savings = inst
-            .savings
-            .iter()
-            .map(|&(p, q, s)| {
-                let (p, q) = (to[p as usize] as u32, to[q as usize] as u32);
+        let savings: Vec<(u32, u32, f64)> = inst
+            .savings()
+            .map(|(p, q, s)| {
+                let (p, q) = (to[p] as u32, to[q] as u32);
                 (p.min(q), p.max(q), s)
             })
             .collect();
-        let permuted = MqoInstance { n_queries: inst.n_queries, plan_query, plan_cost, savings };
+        let permuted = MqoInstance::new(inst.n_queries, plan_query, plan_cost, &savings);
         let original_qubo = MqoProblem::new(inst).to_qubo();
         let permuted_qubo = MqoProblem::new(permuted).to_qubo();
         assert_ne!(
@@ -383,12 +474,8 @@ mod tests {
 
     #[test]
     fn savings_reduce_objective() {
-        let inst = MqoInstance {
-            n_queries: 2,
-            plan_query: vec![0, 0, 1, 1],
-            plan_cost: vec![10.0, 12.0, 20.0, 21.0],
-            savings: vec![(1, 3, 15.0)],
-        };
+        let inst =
+            MqoInstance::new(2, vec![0, 0, 1, 1], vec![10.0, 12.0, 20.0, 21.0], &[(1, 3, 15.0)]);
         // Without savings the best is plans {0, 2} = 30; with the shared
         // pair {1, 3} = 33 - 15 = 18.
         let (sel, obj) = inst.exhaustive_optimum();

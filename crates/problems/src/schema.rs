@@ -109,35 +109,50 @@ pub fn name_similarity(a: &str, b: &str) -> f64 {
 }
 
 /// A schema-matching instance: two schemas plus the similarity matrix.
+///
+/// The matrix is one flat row-major array of `f64`s beside one of
+/// compatibility flags, 9 bytes a cell: a service holds one instance per
+/// queued or delivered job.
 #[derive(Debug, Clone)]
 pub struct MatchingInstance {
     /// Source schema.
     pub source: Schema,
     /// Target schema.
     pub target: Schema,
-    /// `similarity[i][j]` between source attribute `i` and target `j`;
-    /// `None` marks type-incompatible (excluded) pairs.
-    pub similarity: Vec<Vec<Option<f64>>>,
+    /// Similarity of source attribute `i` and target `j` at
+    /// `i * target.len() + j`; `0.0` where the pair is incompatible.
+    similarity: Vec<f64>,
+    /// Whether the pair at the same position has matching types.
+    compatible: Vec<bool>,
 }
 
 impl MatchingInstance {
     /// Builds an instance, computing similarities and excluding
     /// type-incompatible pairs.
     pub fn new(source: Schema, target: Schema) -> Self {
-        let similarity = source
-            .attributes
-            .iter()
-            .map(|sa| {
-                target
-                    .attributes
-                    .iter()
-                    .map(|ta| {
-                        (sa.data_type == ta.data_type).then(|| name_similarity(&sa.name, &ta.name))
-                    })
-                    .collect()
-            })
-            .collect();
-        Self { source, target, similarity }
+        let cells = source.len() * target.len();
+        let mut similarity = Vec::with_capacity(cells);
+        let mut compatible = Vec::with_capacity(cells);
+        for sa in &source.attributes {
+            for ta in &target.attributes {
+                let ok = sa.data_type == ta.data_type;
+                similarity.push(if ok { name_similarity(&sa.name, &ta.name) } else { 0.0 });
+                compatible.push(ok);
+            }
+        }
+        Self { source, target, similarity, compatible }
+    }
+
+    /// Similarity between source attribute `i` and target attribute `j`;
+    /// `None` for a type-incompatible (excluded) pair.
+    ///
+    /// # Panics
+    /// Panics if `i` or `j` is out of range.
+    #[inline]
+    pub fn similarity(&self, i: usize, j: usize) -> Option<f64> {
+        assert!(j < self.target.len(), "target attribute {j} out of range");
+        let at = i * self.target.len() + j;
+        self.compatible[at].then_some(self.similarity[at])
     }
 
     /// Total similarity of a matching (`matching[i] = Some(j)`), or `None`
@@ -151,7 +166,7 @@ impl MatchingInstance {
                     return None;
                 }
                 used[j] = true;
-                total += self.similarity[i][j]?;
+                total += self.similarity(i, j)?;
             }
         }
         Some(total)
@@ -183,7 +198,7 @@ impl MatchingInstance {
                 // Option: match to a free compatible target.
                 for j in 0..nt {
                     if mask & (1 << j) == 0 {
-                        if let Some(sim) = self.similarity[i][j] {
+                        if let Some(sim) = self.similarity(i, j) {
                             let nm = mask | (1 << j);
                             let val = dp[mask] + sim;
                             if val > next[nm] {
@@ -223,11 +238,11 @@ impl MatchingInstance {
     /// pair above `threshold`.
     pub fn greedy_matching(&self, threshold: f64) -> (Vec<Option<usize>>, f64) {
         let mut pairs: Vec<(usize, usize, f64)> = Vec::new();
-        for (i, row) in self.similarity.iter().enumerate() {
-            for (j, sim) in row.iter().enumerate() {
-                if let Some(s) = sim {
-                    if *s >= threshold {
-                        pairs.push((i, j, *s));
+        for i in 0..self.source.len() {
+            for j in 0..self.target.len() {
+                if let Some(s) = self.similarity(i, j) {
+                    if s >= threshold {
+                        pairs.push((i, j, s));
                     }
                 }
             }
@@ -359,7 +374,7 @@ impl DmProblem for SchemaMatchingProblem {
         let mut q = QuboModel::new(ns * nt);
         for i in 0..ns {
             for j in 0..nt {
-                match self.instance.similarity[i][j] {
+                match self.instance.similarity(i, j) {
                     // Reward above-threshold pairs; sub-threshold pairs get a
                     // small penalty so they are not chosen gratuitously.
                     Some(s) if s >= self.threshold => {
@@ -414,7 +429,7 @@ impl DmProblem for SchemaMatchingProblem {
         for i in 0..ns {
             for j in 0..nt {
                 if bits[self.var(i, j)] {
-                    if let Some(s) = self.instance.similarity[i][j] {
+                    if let Some(s) = self.instance.similarity(i, j) {
                         selected.push((i, j, s));
                     }
                 }
@@ -460,6 +475,24 @@ mod tests {
     }
 
     #[test]
+    fn similarity_matrix_is_row_major_by_source_attribute() {
+        let source = Schema::new(&[("id", DataType::Number), ("name", DataType::Text)]);
+        let target = Schema::new(&[
+            ("name", DataType::Text),
+            ("ident", DataType::Number),
+            ("label", DataType::Text),
+        ]);
+        let inst = MatchingInstance::new(source.clone(), target.clone());
+        for (i, sa) in source.attributes.iter().enumerate() {
+            for (j, ta) in target.attributes.iter().enumerate() {
+                let want =
+                    (sa.data_type == ta.data_type).then(|| name_similarity(&sa.name, &ta.name));
+                assert_eq!(inst.similarity(i, j), want, "({i}, {j})");
+            }
+        }
+    }
+
+    #[test]
     fn exact_matching_on_tiny_instance() {
         let source = Schema::new(&[("id", DataType::Number), ("name", DataType::Text)]);
         let target = Schema::new(&[("name", DataType::Text), ("id", DataType::Number)]);
@@ -474,7 +507,7 @@ mod tests {
         let source = Schema::new(&[("amount", DataType::Number)]);
         let target = Schema::new(&[("amount", DataType::Text)]);
         let inst = MatchingInstance::new(source, target);
-        assert!(inst.similarity[0][0].is_none());
+        assert!(inst.similarity(0, 0).is_none());
         let (m, score) = inst.exact_matching();
         assert_eq!(m, vec![None]);
         assert_eq!(score, 0.0);

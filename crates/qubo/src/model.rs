@@ -478,26 +478,34 @@ impl QuboModel {
     }
 
     /// Serializes the model to a self-contained little-endian byte record:
-    /// version tag, `n_vars`, the dense linear vector, the sorted coupling
-    /// list, and the offset. The workspace's serde shim has no serializer,
-    /// so durability layers (the runtime's job journal) persist models
-    /// through this hand-rolled codec; [`QuboModel::from_bytes`] restores a
-    /// model that is `==` to the original and shares its
+    /// version tag, `n_vars` as a `u64`, the dense linear vector, the
+    /// coupling count as a `u64`, the couplings, and the offset (`f64`s as
+    /// IEEE-754 bits). Each coupling `(i, j)` is its row-major index
+    /// `i·n_vars + j`, written as the unsigned LEB128 gap from the previous
+    /// coupling's index (the first from 0), followed by its weight: the
+    /// sorted keys of a Table I model sit close together, so a key takes one
+    /// or two bytes instead of sixteen. The workspace's serde shim has no
+    /// serializer, so durability layers (the runtime's job journal) persist
+    /// models through this hand-rolled codec; [`QuboModel::from_bytes`]
+    /// restores a model that is `==` to the original and shares its
     /// [`QuboModel::fingerprint`].
     pub fn to_bytes(&self) -> Vec<u8> {
         let log = self.quadratic.read();
         let couplings = &log.entries;
-        let mut out = Vec::with_capacity(16 + 8 * self.linear.len() + 24 * couplings.len());
+        let mut out = Vec::with_capacity(33 + 8 * self.linear.len() + 10 * couplings.len());
         out.push(QUBO_CODEC_VERSION);
         out.extend_from_slice(&(self.n_vars as u64).to_le_bytes());
         for &w in &self.linear {
             out.extend_from_slice(&w.to_le_bytes());
         }
         out.extend_from_slice(&(couplings.len() as u64).to_le_bytes());
+        // `i < j < n_vars <= 2^32`, so every index is below `n_vars^2`.
+        let mut prev = 0u64;
         for &(key, w) in couplings {
             let (i, j) = unpack(key);
-            out.extend_from_slice(&(i as u64).to_le_bytes());
-            out.extend_from_slice(&(j as u64).to_le_bytes());
+            let index = i as u64 * self.n_vars as u64 + j as u64;
+            put_leb128(&mut out, index - prev);
+            prev = index;
             out.extend_from_slice(&w.to_le_bytes());
         }
         out.extend_from_slice(&self.offset.to_le_bytes());
@@ -507,8 +515,9 @@ impl QuboModel {
     /// Decodes a record produced by [`QuboModel::to_bytes`]. Returns `None`
     /// for a truncated, oversized, or differently-versioned record — the
     /// torn-tail case a crashed writer leaves behind — and for couplings
-    /// `to_bytes` never writes: keys out of range or not strictly
-    /// ascending, or zero weights. Never panics.
+    /// `to_bytes` never writes: zero gaps (a repeated key), indices off the
+    /// strict upper triangle or past the last row, zero weights, and LEB128
+    /// gaps that are padded or overflow 64 bits. Never panics.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut cur = Cursor { bytes, at: 0 };
         if cur.u8()? != QUBO_CODEC_VERSION {
@@ -524,22 +533,26 @@ impl QuboModel {
             linear.push(cur.f64()?);
         }
         let n_quad = usize::try_from(cur.u64()?).ok()?;
-        if n_quad > bytes.len() / 24 {
+        // A coupling takes at least a one-byte gap and an eight-byte weight.
+        if n_quad > bytes.len() / 9 {
             return None;
         }
+        let n = n_vars as u64;
         let mut couplings: Vec<(u64, f64)> = Vec::with_capacity(n_quad);
+        let mut index = 0u64;
         for _ in 0..n_quad {
-            let i = usize::try_from(cur.u64()?).ok()?;
-            let j = usize::try_from(cur.u64()?).ok()?;
+            let gap = cur.leb128()?;
+            if gap == 0 {
+                return None;
+            }
+            index = index.checked_add(gap)?;
+            // `i < j` also puts `i` below `n_vars`; `n_vars == 0` fails here.
+            let (i, j) = (index.checked_div(n)?, index % n);
             let w = cur.f64()?;
-            if i >= j || j >= n_vars || w == 0.0 {
+            if i >= j || w == 0.0 {
                 return None;
             }
-            let key = pair_word(i, j);
-            if couplings.last().is_some_and(|&(prev, _)| prev >= key) {
-                return None;
-            }
-            couplings.push((key, w));
+            couplings.push((pair_word(i as usize, j as usize), w));
         }
         let offset = cur.f64()?;
         if cur.at != bytes.len() {
@@ -549,8 +562,19 @@ impl QuboModel {
     }
 }
 
-/// Version tag leading every [`QuboModel::to_bytes`] record.
-const QUBO_CODEC_VERSION: u8 = 1;
+/// Appends `v` as an unsigned LEB128 varint: seven bits per byte, low
+/// group first, the high bit set on every byte but the last.
+fn put_leb128(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Version tag leading every [`QuboModel::to_bytes`] record. Version 1
+/// wrote each coupling as `i` and `j` (`u64` each) and its weight, 24 bytes.
+const QUBO_CODEC_VERSION: u8 = 2;
 
 /// Initial state of every fingerprint hash chain.
 pub(crate) const FINGERPRINT_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -613,6 +637,24 @@ impl Cursor<'_> {
 
     fn f64(&mut self) -> Option<f64> {
         Some(f64::from_bits(self.u64()?))
+    }
+
+    /// An unsigned LEB128 varint in the shortest form [`put_leb128`]
+    /// writes: at most ten bytes, no bits past 64, no padding zero byte.
+    fn leb128(&mut self) -> Option<u64> {
+        let mut value = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.u8()?;
+            let bits = u64::from(byte & 0x7f);
+            if shift == 63 && bits > 1 {
+                return None;
+            }
+            value |= bits << shift;
+            if byte & 0x80 == 0 {
+                return (byte != 0 || shift == 0).then_some(value);
+            }
+        }
+        None
     }
 }
 
@@ -883,15 +925,14 @@ mod tests {
     }
 
     /// A hand-assembled record: `n_vars` zero linear terms, the given
-    /// couplings verbatim, zero offset.
-    fn record(n_vars: u64, couplings: &[(u64, u64, f64)]) -> Vec<u8> {
+    /// couplings as (encoded index gap, weight) verbatim, zero offset.
+    fn record(n_vars: u64, couplings: &[(&[u8], f64)]) -> Vec<u8> {
         let mut out = vec![QUBO_CODEC_VERSION];
         out.extend_from_slice(&n_vars.to_le_bytes());
         out.resize(out.len() + 8 * n_vars as usize, 0);
         out.extend_from_slice(&(couplings.len() as u64).to_le_bytes());
-        for &(i, j, w) in couplings {
-            out.extend_from_slice(&i.to_le_bytes());
-            out.extend_from_slice(&j.to_le_bytes());
+        for &(gap, w) in couplings {
+            out.extend_from_slice(gap);
             out.extend_from_slice(&w.to_le_bytes());
         }
         out.extend_from_slice(&0.0f64.to_le_bytes());
@@ -900,27 +941,52 @@ mod tests {
 
     #[test]
     fn byte_codec_rejects_couplings_to_bytes_never_writes() {
-        let ok = record(4, &[(0, 1, 1.0), (0, 3, 2.0), (2, 3, -1.0)]);
+        // (0, 1), (0, 3) and (2, 3) of 4 variables: indices 1, 3 and 11.
+        let ok = record(4, &[(&[1], 1.0), (&[2], 2.0), (&[8], -1.0)]);
         let q = QuboModel::from_bytes(&ok).expect("ascending keys decode");
         assert_eq!(q.to_bytes(), ok);
         assert_eq!(q.quadratic(3, 0), 2.0);
+        assert_eq!(q.quadratic(2, 3), -1.0);
+        let overflow: &[u8] = &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
         for bad in [
-            record(4, &[(0, 1, 1.0), (0, 1, 2.0)]), // duplicate key
-            record(4, &[(0, 3, 1.0), (0, 1, 2.0)]), // descending keys
-            record(4, &[(2, 3, 1.0), (0, 1, 2.0)]), // descending rows
-            record(4, &[(0, 1, 0.0)]),              // zero weight
-            record(4, &[(1, 1, 1.0)]),              // diagonal
-            record(4, &[(2, 1, 1.0)]),              // lower triangle
-            record(4, &[(0, 4, 1.0)]),              // out of range
+            record(4, &[(&[1], 1.0), (&[0], 2.0)]), // zero gap: a repeated key
+            record(4, &[(&[0], 1.0)]),              // index 0 is the diagonal (0, 0)
+            record(4, &[(&[1], 0.0)]),              // zero weight
+            record(4, &[(&[5], 1.0)]),              // diagonal (1, 1)
+            record(4, &[(&[9], 1.0)]),              // lower triangle (2, 1)
+            record(4, &[(&[16], 1.0)]),             // past the last row
+            record(4, &[(&[1], 1.0), (overflow, 1.0)]), // index past u64
+            record(4, &[(&[0x81, 0x00], 1.0)]),     // padded varint of 1
+            record(4, &[(&[0x80; 10], 1.0)]),       // unterminated varint
+            record(4, &[(&[0x81, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02], 1.0)]),
+            record(0, &[(&[1], 1.0)]), // a coupling without variables
         ] {
-            assert_eq!(QuboModel::from_bytes(&bad), None);
+            assert_eq!(QuboModel::from_bytes(&bad), None, "{bad:02x?}");
         }
     }
 
     #[test]
+    fn byte_codec_keys_take_one_byte_per_nearby_gap() {
+        // A dense row: 5 couplings of 8 bytes each plus one gap byte each.
+        let mut q = QuboModel::new(6);
+        for j in 1..6 {
+            q.add_quadratic(0, j, 1.0);
+        }
+        assert_eq!(q.to_bytes().len(), 1 + 8 + 6 * 8 + 8 + 5 * 9 + 8);
+        // The widest gap the reader accepts is the widest one written.
+        let mut big = Vec::new();
+        put_leb128(&mut big, u64::MAX);
+        assert_eq!(big.len(), 10);
+        let mut cur = Cursor { bytes: &big, at: 0 };
+        assert_eq!(cur.leb128(), Some(u64::MAX));
+    }
+
+    #[test]
     fn coupling_store_bits_match_the_sorted_map_store_it_replaced() {
-        // Expected values were produced by the `BTreeMap`-backed model:
-        // fingerprints and codec bytes must not move with the storage.
+        // The fingerprints were produced by the `BTreeMap`-backed model and
+        // must not move with the storage. The codec bytes are those of
+        // codec version 2 (version 1 wrote 489 bytes, FNV-1a
+        // 0x64f4_aa6f_f826_3c7f).
         let mut q = QuboModel::new(7);
         let mut w = 0.1f64;
         let mut s = 7u64;
@@ -945,7 +1011,7 @@ mod tests {
         assert_eq!(q.n_interactions(), 17);
         assert_eq!(q.fingerprint(), 0xb553_eff0_fa79_b871);
         assert_eq!(q.canonical_fingerprint(), 0x0ad7_a95c_8b56_bafd);
-        assert_eq!((q.to_bytes().len(), fnv), (489, 0x64f4_aa6f_f826_3c7f));
+        assert_eq!((q.to_bytes().len(), fnv), (234, 0x3c34_d8e9_4fa5_8a00));
     }
 
     mod equivalence {
@@ -1011,9 +1077,11 @@ mod tests {
                     out.extend_from_slice(&w.to_le_bytes());
                 }
                 out.extend_from_slice(&(self.quadratic.len() as u64).to_le_bytes());
+                let mut prev = 0;
                 for (&(i, j), &w) in &self.quadratic {
-                    out.extend_from_slice(&(i as u64).to_le_bytes());
-                    out.extend_from_slice(&(j as u64).to_le_bytes());
+                    let index = (i * self.n_vars + j) as u64;
+                    put_leb128(&mut out, index - prev);
+                    prev = index;
                     out.extend_from_slice(&w.to_le_bytes());
                 }
                 out.extend_from_slice(&self.offset.to_le_bytes());

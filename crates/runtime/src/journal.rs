@@ -19,14 +19,22 @@
 //!   restart serves previously-solved fingerprints straight from cache
 //!   without recompiling or re-solving anything.
 //!
-//! Both use the same hand-rolled length-prefixed binary codec as
-//! [`QuboModel::to_bytes`] — the workspace has no serialization crates.
-//! [`FileJournal`] is a write-ahead log: each record is a little-endian
-//! `u32` payload length followed by the payload, appended and flushed per
-//! event. Readers tolerate a torn tail (a record cut short by the crash is
-//! ignored, never misparsed), and reopening the log cuts that tail off
-//! before the next append — the standard WAL recovery contract. A log
-//! written in another codec version is refused on open, never cut.
+//! Both use a hand-rolled length-prefixed binary codec — the workspace has
+//! no serialization crates. [`FileJournal`] is a write-ahead log: each
+//! record is a little-endian `u32` payload length followed by the payload,
+//! appended and flushed per event. A payload is the journal codec version
+//! byte, an event tag, and the event's fields; a `Submitted` payload embeds
+//! the model as a length-prefixed [`QuboModel::to_bytes`] record, which is
+//! most of its bytes. Readers tolerate a torn tail (a record cut short by
+//! the crash is ignored, never misparsed), and reopening the log cuts that
+//! tail off before the next append — the standard WAL recovery contract.
+//!
+//! A log written in another codec version is refused on open, never cut
+//! and never replayed: delete it to start over. Version 3 (this build)
+//! embeds version 2 model records, which write a coupling's key as a one-
+//! or two-byte LEB128 index gap instead of two `u64`s; that shrinks a
+//! journaled Table I job's records by more than half. Version 2 embedded
+//! version 1 model records, and version 1 had a third backend-choice tag.
 
 use crate::service::{BackendChoice, JobSpec, SharedProblem};
 use crate::sync::LockExt;
@@ -40,10 +48,11 @@ use std::sync::{Arc, Mutex};
 
 /// Version byte leading every journal record. Recovery keys on job ids; the
 /// fingerprint in a `Completed` record is informational, so a change of
-/// fingerprint hash leaves this version alone. Version 1 logs could carry a
-/// third backend-choice tag that this build no longer has;
-/// [`FileJournal::open`] refuses a log of any other version.
-const JOURNAL_CODEC_VERSION: u8 = 2;
+/// fingerprint hash leaves this version alone, but a change of the embedded
+/// model codec does not. Version 1 logs could carry a third backend-choice
+/// tag that this build no longer has; version 2 logs embed version 1 model
+/// records. [`FileJournal::open`] refuses a log of any other version.
+const JOURNAL_CODEC_VERSION: u8 = 3;
 
 /// Magic prefix of a serialized [`SolutionSnapshot`].
 const SNAPSHOT_MAGIC: &[u8; 7] = b"QDMSNAP";
@@ -860,7 +869,7 @@ mod tests {
     fn a_journal_of_another_codec_version_is_refused_and_left_intact() {
         let dir = std::env::temp_dir().join("qdm-journal-test");
         std::fs::create_dir_all(&dir).expect("temp dir");
-        for version in [JOURNAL_CODEC_VERSION - 1, JOURNAL_CODEC_VERSION + 1] {
+        for version in (1..JOURNAL_CODEC_VERSION).chain([JOURNAL_CODEC_VERSION + 1]) {
             let path = dir.join(format!("wal-v{version}-{}.log", std::process::id()));
             let _ = std::fs::remove_file(&path);
             {
@@ -884,6 +893,44 @@ mod tests {
             assert_eq!(std::fs::read(&path).expect("read"), raw, "the log is left untouched");
             let _ = std::fs::remove_file(&path);
         }
+    }
+
+    /// The bytes of `hex`, a lowercase hex string with `_` separators.
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits: Vec<u8> = hex.bytes().filter(|&b| b != b'_').collect();
+        digits
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn a_version_2_journal_is_refused_and_left_intact() {
+        // A `Submitted` and a `Completed` record exactly as the version 2
+        // codec wrote them, its model in the 24-byte-per-coupling version 1
+        // model codec. Read as a tail, the first would look corrupt and be
+        // cut off, losing the job; the open must refuse the log instead.
+        let submitted = unhex(
+            "02_00_0500000000000000_0300000000000000_6d716f_4900000000000000_01\
+             _0300000000000000_000000000000f83f_0000000000000000_000000000000e0bf\
+             _0100000000000000_0000000000000000_0100000000000000_0000000000000040\
+             _000000000000d03f_01_00_0b00000000000000_00_00_00",
+        );
+        let completed = unhex("02_01_0500000000000000_efcdab8967452301");
+        assert_eq!(JournalEvent::from_bytes(&submitted), None);
+        let mut raw = Vec::new();
+        for payload in [&submitted, &completed] {
+            raw.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            raw.extend_from_slice(payload);
+        }
+        let dir = std::env::temp_dir().join("qdm-journal-test");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join(format!("wal-v2-real-{}.log", std::process::id()));
+        std::fs::write(&path, &raw).expect("write");
+        let err = FileJournal::open(&path).expect_err("a version 2 log is refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(std::fs::read(&path).expect("read"), raw, "the log is left untouched");
+        let _ = std::fs::remove_file(&path);
     }
 
     /// Lowercase hex of `bytes`.
@@ -921,8 +968,12 @@ mod tests {
             hex(&bytes[1..])
         })
         .collect();
-        let qubo = "4900000000000000010300000000000000000000000000f83f0000000000000000000000000000e0bf\
-                    0100000000000000000000000000000001000000000000000000000000000040000000000000d03f";
+        // Length prefix, model codec version 2, three variables, the linear
+        // terms, one coupling (index gap 1, weight 2.0), offset 0.25.
+        let qubo = "3a00000000000000_02_0300000000000000\
+                    _000000000000f83f_0000000000000000_000000000000e0bf\
+                    _0100000000000000_01_0000000000000040_000000000000d03f"
+            .replace('_', "");
         // Tag, job id, problem name, model, options, priority, seed; then
         // the backend, the (absent) tenant and the (absent) shard.
         let submitted =

@@ -36,9 +36,10 @@ fn main() {
 
     let inst = MatchingInstance::new(crm, warehouse);
     println!("\n## Similarity matrix (— marks type-incompatible pairs)");
-    for (i, row) in inst.similarity.iter().enumerate() {
-        let cells: Vec<String> =
-            row.iter().map(|s| s.map_or("  —  ".to_string(), |v| format!("{v:.3}"))).collect();
+    for i in 0..inst.source.len() {
+        let cells: Vec<String> = (0..inst.target.len())
+            .map(|j| inst.similarity(i, j).map_or("  —  ".to_string(), |v| format!("{v:.3}")))
+            .collect();
         println!("  {} | {}", inst.source.attributes[i].name, cells.join("  "));
     }
 
