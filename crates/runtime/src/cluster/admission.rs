@@ -77,15 +77,15 @@ impl AdmissionConfig {
     }
 }
 
-/// Queue-depth source for load shedding and migration decisions. The
-/// default probe reads each shard's live `queue_depth` gauge; tests
-/// inject a fixed-depth probe to exercise watermark and migration logic
-/// without having to construct real backlogs.
+/// Queue-depth source for load-shedding decisions. The default probe
+/// reads each shard's live `queue_depth` gauge: the queued jobs that shard
+/// owns in the cluster's one run queue. Tests inject a fixed-depth probe
+/// to exercise watermark logic without having to construct real backlogs.
 pub trait DepthProbe: Send + Sync {
-    /// Current queue depth of `shard`.
+    /// Queued jobs `shard` owns.
     fn queue_depth(&self, shard: usize) -> usize;
 
-    /// Predicted seconds of backend work queued on `shard`, if the probe
+    /// Predicted seconds of backend work queued for `shard`'s jobs, if the probe
     /// knows. `None` (the default) tells the cluster to fall back to the
     /// shard's live predicted-seconds backlog gauge; injected test probes
     /// may override to script a backlog.

@@ -1,57 +1,55 @@
 //! Sharded multi-service front-end: admission control, load shedding, and
-//! cache-affine routing over N independent [`SolverService`] shards.
+//! cache-affine routing over N [`SolverService`] shards that share one run
+//! queue.
 //!
 //! A [`ClusterService`] owns a fixed set of solver shards and fronts them
-//! with the same session/handle API as a single service. Three mechanisms
-//! sit between a submission and a shard queue:
+//! with the same session/handle API as a single service. These mechanisms
+//! sit between a submission and a worker:
 //!
 //! - **Cache-affine routing** — every spec is encoded once at the front
 //!   door, its canonical (labeling-independent) fingerprint computed
 //!   *without compiling* ([`qdm_qubo::model::QuboModel::canonical_form`]),
-//!   and the job routed by consistent-hashing that fingerprint. Duplicates
-//!   of a hot QUBO — and relabeled ones the canonical labeling recognizes
-//!   — always land on the shard that already has it cached and
-//!   single-flight there, so a burst of such duplicates compiles **once
-//!   cluster-wide**. The worker runs the job from this route as built.
+//!   and the job routed by consistent-hashing that fingerprint to its
+//!   *owner* shard. Duplicates of a hot QUBO — and relabeled ones the
+//!   canonical labeling recognizes — always belong to the shard that
+//!   already has it cached and single-flight there, so a burst of such
+//!   duplicates compiles **once cluster-wide**. The worker runs the job
+//!   from this route as built.
 //! - **Admission control** — each tenant draws from a token bucket
 //!   ([`AdmissionConfig`]) denominated in **predicted seconds** of
 //!   backend time (the [`crate::cost`] model's quote for the routed
 //!   shard), refilled on an injectable [`Clock`]; an uncovered charge
 //!   sheds the job with [`SubmitError::Overloaded`] carrying a retry
 //!   hint derived from the refill rate and this job's own cost.
-//! - **Load shedding & migration** — a shard whose queue depth crosses
-//!   [`ClusterConfig::shed_watermark`], or whose predicted-seconds
-//!   backlog crosses [`ClusterConfig::shed_watermark_seconds`], sheds
-//!   new arrivals with a retry hint sized to the estimated backlog
-//!   *drain time* (never below [`ClusterConfig::shed_retry_hint`]); when
-//!   depths diverge beyond [`ClusterConfig::migration_threshold`],
-//!   queued jobs migrate from the deepest to the shallowest shard in
-//!   deterministic order. A migrating job carries its precomputed route,
-//!   so *where* it runs never changes *what* it computes: per-job seeded
-//!   RNGs keep results bit-identical to a single-shard run.
-//! - **Work conservation** — a shard worker that finds its own queue
-//!   empty runs the next job of the deepest peer queue instead of
-//!   sleeping, and a job landing on a shard whose workers are all busy
-//!   wakes an idle peer worker. Shards thus share their workers without
-//!   any polling, and no worker idles while a peer holds queued work.
+//! - **Load shedding** — a shard that owns at least
+//!   [`ClusterConfig::shed_watermark`] queued jobs, or at least
+//!   [`ClusterConfig::shed_watermark_seconds`] predicted seconds of queued
+//!   work, sheds new arrivals with a retry hint sized to that backlog's
+//!   estimated *drain time* (never below
+//!   [`ClusterConfig::shed_retry_hint`]).
+//! - **One run queue** — the cluster builds one fair scheduler
+//!   ([`crate::scheduler`]: priority lanes, pop-count aging, per-session
+//!   deficit round robin) and every shard's workers pop it. A queued job
+//!   runs on whichever worker frees up first, a `High` job of one shard
+//!   goes ahead of another shard's `Low` backlog, and no worker idles
+//!   while any shard's job waits. Per-job seeded RNGs keep results
+//!   bit-identical to a single-shard run wherever a job runs.
 //! - **Shard failover** — an injectable [`HealthProbe`] marks shards
 //!   healthy or dead. New submissions whose ring owner is dead re-route
 //!   to the next healthy shard clockwise (each dead arc re-routes to one
-//!   deterministic successor, preserving cache affinity), and
-//!   [`ClusterService::failover_drain`] moves queued-but-unclaimed jobs
-//!   off dead shards through the same accounting path as migration.
-//!   Because a failed-over job travels with its precomputed route and
-//!   seed, results stay bit-identical to a healthy cluster's.
+//!   deterministic successor, preserving cache affinity). Jobs a dead
+//!   shard already owns stay in the one queue and run on the next free
+//!   worker; there is nothing to drain.
 //!
 //! **Ownership never moves.** A job belongs to the shard that admitted it.
-//! The idle pull, migration, and failover lend only a worker: wherever the
-//! job runs, its owner's cache, single-flight table, portfolio, breakers,
-//! journal, trace ring, and ledger serve it. So a moved job's result is
-//! cached where its resubmissions route, its `Completed` record lands in
-//! the journal that holds its `Submitted` record (a cluster rebuilt over
-//! those journals replays nothing already delivered), and each shard's
-//! own ledger balances. Only the queue-depth gauge follows the job's
-//! physical queue, and the executing shard counts the job in
+//! The shared queue lends only a worker: wherever the job runs, its
+//! owner's cache, single-flight table, portfolio, breakers, journal, trace
+//! ring, and ledger serve it. So a job's result is cached where its
+//! resubmissions route, its `Completed` record lands in the journal that
+//! holds its `Submitted` record (a cluster rebuilt over those journals
+//! replays nothing already delivered), and each shard's own ledger
+//! balances. The owner's queue-depth and backlog gauges count the job
+//! while it waits, and a worker of another shard that runs it counts it in
 //! [`RuntimeReport::jobs_run_for_peers`].
 //!
 //! Observability spans shards: [`ClusterService::report`] merges per-shard
@@ -68,14 +66,14 @@ pub use clock::{Clock, ManualClock, MonotonicClock};
 use crate::handle::{Completion, JobHandle};
 use crate::metrics::{Counter, RuntimeReport};
 use crate::registry::SolverRegistry;
-use crate::service::{JobSpec, RouteInfo, ServiceConfig, Shared, SolverService};
+use crate::scheduler::RunQueue;
+use crate::service::{JobSpec, RouteInfo, ServiceConfig, SolverService};
 use crate::submit::{enqueue_reserved, Completions, SessionConfig, SessionCore, SubmitError};
-use crate::sync::LockExt;
 use crate::trace::JobTrace;
 use admission::AdmissionController;
 use ring::HashRing;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Base for cluster-issued job and session ids. Shard-local ids start at
@@ -88,14 +86,14 @@ const RING_REPLICAS: usize = 64;
 
 /// Injectable shard-health source driving failover.
 ///
-/// The cluster consults the probe at routing time (a dead ring owner's
-/// range re-routes clockwise to the next healthy shard) and during
-/// [`ClusterService::failover_drain`] (queued jobs leave dead shards).
-/// Health is polled, never cached, so flipping a probe's answer takes
-/// effect on the very next submission. Production deployments would back
-/// this with heartbeats; tests flip an `AtomicBool` to kill a shard
-/// mid-run deterministically — the same injectable-seam pattern as
-/// [`Clock`] and [`DepthProbe`].
+/// The cluster consults the probe at routing time only: a dead ring
+/// owner's range re-routes clockwise to the next healthy shard. Jobs a
+/// shard owned before it died wait in the cluster's one run queue like
+/// any other and run on the next free worker. Health is polled, never
+/// cached, so flipping a probe's answer takes effect on the very next
+/// submission. Production deployments would back this with heartbeats;
+/// tests flip an `AtomicBool` to kill a shard mid-run deterministically —
+/// the same injectable-seam pattern as [`Clock`] and [`DepthProbe`].
 pub trait HealthProbe: Send + Sync {
     /// Whether `shard` can currently accept and run work.
     fn is_healthy(&self, shard: usize) -> bool;
@@ -110,18 +108,18 @@ pub struct ClusterConfig {
     pub shards: usize,
     /// Template for each shard's [`ServiceConfig`]. `shard` and `epoch`
     /// are overridden per shard: every shard gets its own id and all
-    /// shards share one epoch so queue-wait timestamps stay valid when a
-    /// job migrates.
+    /// shards share one epoch, so a queue-wait timestamp taken by a job's
+    /// owner stays valid on whichever shard's worker runs it.
     pub service: ServiceConfig,
     /// Per-tenant token-bucket admission policy.
     pub admission: AdmissionConfig,
-    /// Queue depth at which a shard sheds new arrivals with
-    /// [`SubmitError::Overloaded`]; `None` disables depth-watermark
+    /// Number of queued jobs a shard owns at which it sheds new arrivals
+    /// with [`SubmitError::Overloaded`]; `None` disables depth-watermark
     /// shedding.
     pub shed_watermark: Option<usize>,
     /// Predicted-seconds backlog at which a shard sheds new arrivals:
-    /// when the estimated seconds of backend work queued on the routed
-    /// shard (from the [`DepthProbe`]'s
+    /// when the estimated seconds of backend work queued for jobs the
+    /// routed shard owns (from the [`DepthProbe`]'s
     /// [`DepthProbe::backlog_seconds`] if it answers, else the shard's
     /// live predicted-seconds backlog gauge) reach this value, the job is
     /// shed. `None` disables backlog-watermark shedding. Unlike
@@ -134,20 +132,21 @@ pub struct ClusterConfig {
     /// (its predicted-seconds backlog, capped at one hour) or this
     /// floor, whichever is larger.
     pub shed_retry_hint: Duration,
-    /// Maximum tolerated queue-depth spread between the deepest and
-    /// shallowest shard before queued jobs migrate; `None` disables
-    /// migration.
+    /// Ignored: every shard pops one shared run queue, so no queued job
+    /// migrates and [`RuntimeReport::migrations`] reads 0. Kept so
+    /// existing configurations still build.
     pub migration_threshold: Option<usize>,
     /// Time source for admission control; `None` uses a
     /// [`MonotonicClock`]. Tests inject a [`ManualClock`] so token-bucket
     /// behavior needs no sleeps.
     pub clock: Option<Arc<dyn Clock>>,
-    /// Queue-depth source for shedding and migration; `None` reads each
-    /// shard's live queue-depth gauge. Tests inject fixed depths to
-    /// exercise watermark/migration logic without real backlogs.
+    /// Queue-depth source for shedding; `None` reads each shard's live
+    /// gauges (queued jobs it owns, and their predicted seconds). Tests
+    /// inject fixed depths to exercise watermark logic without real
+    /// backlogs.
     pub depth_probe: Option<Arc<dyn DepthProbe>>,
     /// Shard-health source for failover; `None` treats every shard as
-    /// permanently healthy (no routing change, no drains).
+    /// permanently healthy (no routing change).
     pub health_probe: Option<Arc<dyn HealthProbe>>,
     /// One durable [`Journal`](crate::journal::Journal) per shard (the list
     /// length must match the shard count). Each shard journals its own
@@ -179,7 +178,8 @@ impl Default for ClusterConfig {
     }
 }
 
-/// A sharded front-end over N independent [`SolverService`]s.
+/// A sharded front-end over N [`SolverService`] shards whose workers pop
+/// one shared run queue.
 ///
 /// Dropping the cluster drops every shard, which drains and joins their
 /// worker pools — same teardown contract as a standalone service.
@@ -193,7 +193,6 @@ pub struct ClusterService {
     shed_watermark: Option<usize>,
     shed_watermark_seconds: Option<f64>,
     shed_retry_hint: Duration,
-    migration_threshold: Option<usize>,
     next_job_id: AtomicU64,
     next_session_id: AtomicU64,
 }
@@ -218,7 +217,8 @@ impl ClusterService {
             );
         }
         let epoch = config.service.epoch.unwrap_or_else(Instant::now);
-        let shared: Vec<Arc<Shared>> = registries
+        let queue = RunQueue::new();
+        let shards: Vec<SolverService> = registries
             .into_iter()
             .enumerate()
             .map(|(i, registry)| {
@@ -226,30 +226,15 @@ impl ClusterService {
                     Some(journals) => Some(Arc::clone(&journals[i])),
                     None => config.service.journal.clone(),
                 };
-                SolverService::build(
-                    registry,
-                    ServiceConfig {
-                        shard: Some(i as u64),
-                        epoch: Some(epoch),
-                        journal,
-                        ..config.service.clone()
-                    },
-                )
+                let service = ServiceConfig {
+                    shard: Some(i as u64),
+                    epoch: Some(epoch),
+                    journal,
+                    ..config.service.clone()
+                };
+                let shared = SolverService::build(registry, service, Arc::clone(&queue));
+                SolverService::start(shared, config.service.workers)
             })
-            .collect();
-        // Wire every shard to its peers before any worker starts, so an
-        // idle worker's first wait already counts it idle to its peers.
-        if shared.len() > 1 {
-            let all: Vec<Weak<Shared>> = shared.iter().map(Arc::downgrade).collect();
-            for (i, shard) in shared.iter().enumerate() {
-                let mut peers = all.clone();
-                peers.remove(i);
-                assert!(shard.peers.set(peers).is_ok(), "a fresh shard has no peers yet");
-            }
-        }
-        let shards: Vec<SolverService> = shared
-            .into_iter()
-            .map(|shard| SolverService::start(shard, config.service.workers))
             .collect();
         let ring = HashRing::new(shards.len(), RING_REPLICAS);
         Self {
@@ -261,7 +246,6 @@ impl ClusterService {
             shed_watermark: config.shed_watermark,
             shed_watermark_seconds: config.shed_watermark_seconds,
             shed_retry_hint: config.shed_retry_hint,
-            migration_threshold: config.migration_threshold,
             next_job_id: AtomicU64::new(CLUSTER_ID_BASE),
             next_session_id: AtomicU64::new(CLUSTER_ID_BASE),
             shards,
@@ -292,9 +276,8 @@ impl ClusterService {
     /// The shard `fingerprint` actually routes to right now: the
     /// health-blind ring owner when healthy, otherwise the first healthy
     /// shard clockwise (counted as a failover on the recipient's ledger).
-    /// When no shard is healthy the dead owner is returned unchanged —
-    /// jobs queue there and survive until the shard recovers or a drain
-    /// finds somewhere better.
+    /// When no shard is healthy the dead owner is returned unchanged: its
+    /// jobs still queue, and any worker runs them.
     fn route_shard(&self, fingerprint: u64) -> usize {
         let primary = self.ring.shard_for(fingerprint);
         if self.healthy(primary) {
@@ -305,58 +288,6 @@ impl ClusterService {
             self.shards[shard].shared.metrics.inc(Counter::Failovers);
         }
         shard
-    }
-
-    /// Evacuates queued-but-unclaimed jobs from unhealthy shards.
-    ///
-    /// Runs automatically after every cluster submission and may be called
-    /// directly when a probe flips with no traffic to piggyback on. Each
-    /// drained job re-routes by its precomputed canonical fingerprint to
-    /// the next healthy shard clockwise and moves through the same
-    /// pop/push accounting as load-balancing migration (donor counts the
-    /// dequeue + migration, recipient counts the enqueue + failover). The
-    /// job still belongs to the shard that admitted it, so every shard's
-    /// ledger stays balanced and no job is lost or duplicated. Idle peer
-    /// workers may already have pulled some of the queue by the time this
-    /// runs; the drain moves whatever is left.
-    /// Jobs a dead shard's worker already claimed are out of reach —
-    /// "dead" here means the shard stopped making progress, and the retry
-    /// layer inside each shard handles in-flight failures. A no-op
-    /// without a [`HealthProbe`] or when no healthy shard exists.
-    pub fn failover_drain(&self) {
-        let Some(probe) = &self.health_probe else { return };
-        if !(0..self.shards.len()).any(|s| probe.is_healthy(s)) {
-            return;
-        }
-        for donor in 0..self.shards.len() {
-            if probe.is_healthy(donor) {
-                continue;
-            }
-            loop {
-                let popped = {
-                    let mut queue = self.shards[donor].shared.queue.lock_unpoisoned();
-                    queue.pop()
-                };
-                let Some(job) = popped else { break };
-                let recipient = match job.route.as_ref() {
-                    Some(route) => {
-                        self.ring.shard_for_healthy(route.canonical_fp, |s| probe.is_healthy(s))
-                    }
-                    // Jobs enqueued directly on the shard carry no route:
-                    // send them to the lowest-indexed healthy shard.
-                    None => (0..self.shards.len())
-                        .find(|&s| probe.is_healthy(s))
-                        .expect("a healthy shard exists — checked above"),
-                };
-                let from = &self.shards[donor].shared;
-                let to = &self.shards[recipient].shared;
-                from.metrics.dec(Counter::QueueDepth);
-                from.metrics.inc(Counter::Migrations);
-                to.metrics.on_enqueue();
-                to.metrics.inc(Counter::Failovers);
-                to.push(job);
-            }
-        }
     }
 
     /// Opens a submission session for `tenant` with the same bounded-queue
@@ -398,8 +329,8 @@ impl ClusterService {
         traces
     }
 
-    /// Current queue depth of `shard`, from the injected probe or the
-    /// shard's live gauge.
+    /// Queued jobs `shard` owns, from the injected probe or the shard's
+    /// live gauge.
     fn depth(&self, shard: usize) -> usize {
         match &self.depth_probe {
             Some(probe) => probe.queue_depth(shard),
@@ -407,14 +338,15 @@ impl ClusterService {
         }
     }
 
-    /// Predicted seconds of backend work queued on `shard`: the injected
-    /// probe's answer when it has one, else the shard's live
-    /// predicted-seconds backlog gauge (the sum of every queued job's
-    /// cost-model quote).
+    /// Predicted seconds of backend work queued for jobs `shard` owns: the
+    /// injected probe's answer when it has one, else the shard's live
+    /// predicted-seconds backlog gauge (the sum of those jobs' cost-model
+    /// quotes).
     fn backlog_seconds(&self, shard: usize) -> f64 {
-        self.depth_probe.as_ref().and_then(|probe| probe.backlog_seconds(shard)).unwrap_or_else(
-            || self.shards[shard].shared.queue.lock_unpoisoned().backlog_micros() as f64 / 1e6,
-        )
+        self.depth_probe
+            .as_ref()
+            .and_then(|probe| probe.backlog_seconds(shard))
+            .unwrap_or_else(|| self.shards[shard].shared.backlog_seconds())
     }
 
     /// Retry hint for a watermark shed on `shard`: the estimated time for
@@ -425,54 +357,6 @@ impl ClusterService {
     fn shed_hint(&self, shard: usize) -> Duration {
         let drain = Duration::from_secs_f64(self.backlog_seconds(shard).clamp(0.0, 3600.0));
         self.shed_retry_hint.max(drain)
-    }
-
-    /// Migrates queued jobs from the deepest to the shallowest shard while
-    /// the spread exceeds the threshold *and* moving a job strictly
-    /// shrinks it (a spread of 1 would only oscillate). Donor and
-    /// recipient selection break ties toward the lowest shard index and
-    /// each shard's scheduler pops in its deterministic order, so the
-    /// migration sequence is reproducible. The job moves with its
-    /// precomputed route, owner, and untouched completion slot/session —
-    /// nothing about its eventual result or its accounting changes, only
-    /// which worker pool runs it.
-    fn maybe_migrate(&self) {
-        let Some(threshold) = self.migration_threshold else { return };
-        if self.shards.len() < 2 {
-            return;
-        }
-        loop {
-            let depths: Vec<usize> = (0..self.shards.len()).map(|s| self.depth(s)).collect();
-            let mut donor = 0;
-            let mut recipient = 0;
-            for (i, &d) in depths.iter().enumerate() {
-                if d > depths[donor] {
-                    donor = i;
-                }
-                if d < depths[recipient] {
-                    recipient = i;
-                }
-            }
-            let spread = depths[donor] - depths[recipient];
-            if spread <= threshold || spread < 2 {
-                return;
-            }
-            // One queue lock at a time: pop from the donor, then push to
-            // the recipient. The job is invisible to cancel() in between,
-            // which is fine — cancel of a missing id degrades to the
-            // running-job path.
-            let popped = {
-                let mut queue = self.shards[donor].shared.queue.lock_unpoisoned();
-                queue.pop()
-            };
-            let Some(job) = popped else { return };
-            let from = &self.shards[donor].shared;
-            let to = &self.shards[recipient].shared;
-            from.metrics.dec(Counter::QueueDepth);
-            from.metrics.inc(Counter::Migrations);
-            to.metrics.on_enqueue();
-            to.push(job);
-        }
     }
 
     /// Replays every unfinished job from each shard's configured journal
@@ -602,19 +486,15 @@ impl ClusterSession<'_> {
 
     /// Submits a job, blocking while the session queue is full, then
     /// applying admission control. Sheds return the spec with a backoff
-    /// hint; admitted jobs are enqueued on their fingerprint's shard and
-    /// may trigger queue rebalancing.
+    /// hint; admitted jobs join the cluster's run queue, owned by their
+    /// fingerprint's shard.
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, SubmitError> {
         let (shard, route) = self.route(&spec);
         let shared = &self.cluster.shards[shard].shared;
         self.core.reserve_blocking(&shared.metrics);
         let spec = self.admit_reserved(shard, spec)?;
         let id = self.cluster.next_job_id.fetch_add(1, Ordering::Relaxed);
-        let handle =
-            enqueue_reserved(shared, &self.core, id, spec, Some(route), Some(&self.tenant), false);
-        self.cluster.failover_drain();
-        self.cluster.maybe_migrate();
-        Ok(handle)
+        Ok(enqueue_reserved(shared, &self.core, id, spec, Some(route), Some(&self.tenant), false))
     }
 
     /// Non-blocking submit: a full session queue returns
@@ -629,11 +509,7 @@ impl ClusterSession<'_> {
         }
         let spec = self.admit_reserved(shard, spec)?;
         let id = self.cluster.next_job_id.fetch_add(1, Ordering::Relaxed);
-        let handle =
-            enqueue_reserved(shared, &self.core, id, spec, Some(route), Some(&self.tenant), false);
-        self.cluster.failover_drain();
-        self.cluster.maybe_migrate();
-        Ok(handle)
+        Ok(enqueue_reserved(shared, &self.core, id, spec, Some(route), Some(&self.tenant), false))
     }
 
     /// Streams finished jobs in finish order, across all shards. Same
@@ -654,7 +530,7 @@ impl ClusterSession<'_> {
     }
 
     /// Blocks until every job submitted through this session has resolved,
-    /// wherever it migrated.
+    /// on whichever shards' workers ran it.
     pub fn drain(&self) {
         self.core.drain_wait();
     }
@@ -670,9 +546,12 @@ impl ClusterSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheKey;
+    use crate::cache::{pack_options, CacheKey};
     use crate::cost::{analytic_seconds, CostShape};
-    use crate::service::SharedProblem;
+    use crate::journal::{Journal, JournalEvent, SubmittedRecord};
+    use crate::service::{BackendChoice, SharedProblem};
+    use crate::sync::LockExt;
+    use qdm_core::pipeline::{JobPriority, PipelineOptions};
     use qdm_core::problem::{Decoded, DmProblem};
     use qdm_qubo::model::QuboModel;
     use qdm_qubo::penalty;
@@ -756,6 +635,17 @@ mod tests {
         let (lock, cv) = &**gate;
         *lock.lock().unwrap() = true;
         cv.notify_all();
+    }
+
+    /// Opens its gate when dropped. Declared after the cluster, it drops
+    /// first, so a failed assertion unwinds through the cluster's teardown
+    /// instead of hanging on a worker still parked in the gate.
+    struct OpenOnDrop(Arc<(Mutex<bool>, Condvar)>);
+
+    impl Drop for OpenOnDrop {
+        fn drop(&mut self) {
+            open_gate(&self.0);
+        }
     }
 
     fn small_cluster(shards: usize) -> ClusterService {
@@ -961,21 +851,71 @@ mod tests {
         }
     }
 
+    /// A journal that replays a fixed list of events and records nothing,
+    /// so the jobs a test runs to wedge the workers never replay.
+    struct Replay(Vec<JournalEvent>);
+
+    impl Journal for Replay {
+        fn append(&self, _event: JournalEvent) {}
+        fn events(&self) -> Vec<JournalEvent> {
+            self.0.clone()
+        }
+    }
+
     #[test]
-    fn single_shard_cluster_never_migrates() {
+    fn recovery_sessions_of_two_shards_keep_separate_subqueues() {
+        // Each shard numbers its sessions from zero, so the two recovery
+        // sessions share an id. In the one run queue they must still be
+        // two DRR subqueues, or one shard's replay would wait behind the
+        // other's whole backlog.
+        let open_job = |job_id: u64, shard: u64| {
+            JournalEvent::Submitted(SubmittedRecord {
+                job_id,
+                problem: pick(4).name(),
+                qubo: pick(4).to_qubo(),
+                options_bits: pack_options(&PipelineOptions::default()),
+                priority: JobPriority::Normal,
+                seed: job_id,
+                backend: BackendChoice::Named("exact".into()),
+                tenant: None,
+                shard: Some(shard),
+            })
+        };
+        let base = CLUSTER_ID_BASE;
+        let journals: Vec<Arc<dyn Journal>> = vec![
+            Arc::new(Replay(vec![open_job(base, 0), open_job(base + 1, 0)])),
+            Arc::new(Replay(vec![open_job(base + 2, 1), open_job(base + 3, 1)])),
+        ];
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let cluster = ClusterService::new(ClusterConfig {
-            shards: 1,
+            shards: 2,
             service: ServiceConfig { workers: 1, cache_capacity: 16, ..Default::default() },
-            migration_threshold: Some(0),
+            journals: Some(journals),
             ..Default::default()
         });
+        let _unwedge = OpenOnDrop(Arc::clone(&gate));
+        // Wedge both workers so the replays stay queued: each worker holds
+        // one gated job once the queue has none left.
         let session = cluster.session("t", SessionConfig::default());
-        for seed in 0..8 {
-            session.submit(JobSpec::new(pick(4), seed)).expect("admitted");
+        let wedges: Vec<JobHandle> = (0..2)
+            .map(|seed| session.submit(JobSpec::new(gated(4, &gate), seed)).expect("admitted"))
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while cluster.report().queue_depth > 0 {
+            assert!(Instant::now() < deadline, "the workers never claimed the wedges");
+            std::thread::yield_now();
         }
-        session.drain();
-        let report = cluster.report();
-        assert_eq!(report.migrations, 0);
-        assert_eq!(report.jobs_completed, 8);
+
+        let replays = cluster.recover();
+        assert_eq!(replays.len(), 4);
+        let subqueues = cluster.shards[0].shared.queue.jobs.lock_unpoisoned().subqueues();
+        assert_eq!(subqueues, 2, "one subqueue per recovery session");
+        open_gate(&gate);
+        for handle in wedges.iter().chain(&replays) {
+            assert!(handle.wait().is_ok());
+        }
+        let per_shard = cluster.shard_reports();
+        assert_eq!(per_shard[0].jobs_recovered, 2);
+        assert_eq!(per_shard[1].jobs_recovered, 2);
     }
 }

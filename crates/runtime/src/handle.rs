@@ -14,7 +14,7 @@ use crate::service::{JobError, JobOutcome, Shared};
 use crate::submit::SessionCore;
 use crate::sync::{CondvarExt, LockExt};
 use crate::trace::TraceOutcome;
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// One finished job as streamed by
 /// [`crate::submit::Session::completions`]: jobs appear in the order they
@@ -209,19 +209,11 @@ impl JobHandle {
     /// finishes its solve and serves any followers — only its own handle
     /// reports [`JobError::Cancelled`].
     pub fn cancel(&self) -> CancelStatus {
-        // Migration and failover drain move queued jobs onto peer queues:
-        // search the owner's queue, then each live peer's. The queue the job
-        // left counts the dequeue; everything else below stays on the owner.
-        let take = |queue_owner: &Shared| {
-            let job = queue_owner.queue.lock_unpoisoned().remove(self.id)?;
-            queue_owner.metrics.dec(Counter::QueueDepth);
-            Some(job)
-        };
-        let removed = take(&self.shared).or_else(|| {
-            let peers = self.shared.peers.get().into_iter().flatten();
-            peers.filter_map(Weak::upgrade).find_map(|peer| take(&peer))
-        });
+        // Inside a cluster the queue is the one every shard shares; the
+        // owner's gauges count the job out.
+        let removed = self.shared.queue.jobs.lock_unpoisoned().remove(self.id);
         if let Some(job) = removed {
+            self.shared.on_dequeue(&job);
             // Claim the slot's cancel flag before resolving: racing cancels
             // on the same handle each see `Marked` at most once in total, so
             // `jobs_cancelled` counts one effective cancellation per job no

@@ -63,15 +63,16 @@
 //!   snapshot with Prometheus text exposition
 //!   ([`metrics::RuntimeReport::render_prometheus`]);
 //! - [`cluster`] — the sharded front-end ([`cluster::ClusterService`]):
-//!   N independent services behind one session API, jobs routed by
+//!   N shards behind one session API whose workers all pop one fair run
+//!   queue, jobs owned by the shard chosen by
 //!   consistent-hashing the canonical fingerprint (duplicates of a hot
-//!   QUBO — and relabeled ones the canonical labeling recognizes — land
-//!   on the shard that has it cached and single-flight there, compiling
+//!   QUBO — and relabeled ones the canonical labeling recognizes — belong
+//!   to the shard that has it cached and single-flight there, compiling
 //!   once cluster-wide), per-tenant
 //!   token-bucket admission control on an injectable [`cluster::Clock`],
 //!   watermark load shedding ([`submit::SubmitError::Overloaded`] with a
-//!   retry hint), and deterministic cross-shard queue migration — results
-//!   stay bit-identical to a single-shard run under fixed seeds;
+//!   retry hint), and ring failover past dead shards — results stay
+//!   bit-identical to a single-shard run under fixed seeds;
 //! - [`trace`] — structured per-job span timelines
 //!   (`queued → compiled → presolved → backend solve → served`) recorded
 //!   into a bounded

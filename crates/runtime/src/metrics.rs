@@ -176,7 +176,7 @@ impl Metrics {
     }
 
     /// The current value of `counter`. The cluster's default depth probe
-    /// reads [`Counter::QueueDepth`] for watermark and migration decisions.
+    /// reads [`Counter::QueueDepth`] for watermark shedding.
     pub(crate) fn get(&self, counter: Counter) -> u64 {
         self.counters[counter as usize].load(Ordering::Relaxed)
     }
@@ -337,21 +337,22 @@ counter_table! {
         /// they are in no other ledger bucket.
         JobsShed jobs_shed: counter [shard], "jobs_shed_total",
             "Jobs shed before enqueue (token bucket empty or queue over watermark).";
-        /// Queued jobs moved off this shard's queue onto a peer's (counted on
-        /// the donor): by depth rebalancing, and by
-        /// [`crate::cluster::ClusterService::failover_drain`] evacuating an
-        /// unhealthy shard.
+        /// Always 0: a cluster's shards share one run queue, so no queued
+        /// job moves between them. The row stays for readers of the series
+        /// and goes with
+        /// [`crate::cluster::ClusterConfig::migration_threshold`].
         Migrations migrations: counter [shard], "migrations_total",
-            "Queued jobs migrated between shards to rebalance depth.";
+            "Always 0: shards share one run queue, so no queued job migrates.";
         /// Jobs this shard's workers ran for the peer shard that admitted them
         /// (counted on the executing shard). Those jobs' own counters — the
         /// ledger, cache, and latency series — stay on their owner.
         JobsRunForPeers jobs_run_for_peers: counter [shard], "jobs_run_for_peers_total",
             "Jobs this shard's workers ran for the peer shard that admitted them.";
-        /// Jobs routed or drained to this shard because their home shard was
-        /// unhealthy (counted on the recipient).
+        /// Submissions routed to this shard because their ring owner was
+        /// unhealthy (counted on the recipient). Routing is the only
+        /// failover: jobs already queued stay with their owner.
         Failovers failovers: counter [shard], "failovers_total",
-            "Jobs routed or drained here because their home shard was unhealthy.";
+            "Submissions routed here because their ring owner was unhealthy.";
         /// Jobs replayed from a durable journal during crash recovery.
         JobsRecovered jobs_recovered: counter [shard], "jobs_recovered_total",
             "Jobs replayed from a durable journal during crash recovery.";

@@ -23,19 +23,35 @@
 //!    cost model — see [`crate::cost`]), so a session submitting many or
 //!    expensive jobs interleaves fairly with light ones instead of
 //!    walling them off: fairness meters seconds of backend time, not job
-//!    counts or raw variable counts. Within one service there is nothing
-//!    to steal: every worker pops this one shared queue, so an idle worker
-//!    serves whichever session has queued work. That stops at the shard
-//!    boundary — across a cluster's shards, idle workers pull from their
-//!    peers' queues instead (see [`crate::cluster`]).
+//!    counts or raw variable counts. There is nothing to steal: every
+//!    worker pops one shared run queue, so an idle worker serves
+//!    whichever session has queued work. A standalone service owns its
+//!    run queue; a [`crate::cluster::ClusterService`] builds one and hands
+//!    it to every shard, so lanes, aging and fairness span the cluster and
+//!    no worker idles while any shard's job waits.
 //!
-//! Everything here is driven under the service's single queue mutex; the
-//! scheduler itself holds no locks and no clocks, so a fixed sequence of
+//! Everything here is driven under the run queue's mutex; the scheduler
+//! itself holds no locks and no clocks, so a fixed sequence of
 //! `push`/`pop`/`remove` calls always yields the same job order.
 
 use crate::service::QueuedJob;
 use qdm_core::pipeline::JobPriority;
 use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex};
+
+/// The queue every worker pops: the fair scheduler behind one mutex, and
+/// the condvar idle workers wait on. One per standalone service; one per
+/// cluster, shared by every shard.
+pub(crate) struct RunQueue {
+    pub(crate) jobs: Mutex<JobScheduler>,
+    pub(crate) ready: Condvar,
+}
+
+impl RunQueue {
+    pub(crate) fn new() -> Arc<Self> {
+        Arc::new(Self { jobs: Mutex::new(JobScheduler::new()), ready: Condvar::new() })
+    }
+}
 
 /// How many pops a non-empty lane tolerates being bypassed by
 /// higher-priority lanes before its next job is served unconditionally.
@@ -61,7 +77,6 @@ fn lane_index(priority: JobPriority) -> usize {
 
 /// One session's FIFO within a lane, with its deficit-round-robin credit.
 struct SessionQueue {
-    session: u64,
     deficit: u64,
     jobs: VecDeque<QueuedJob>,
 }
@@ -87,14 +102,15 @@ impl Lane {
         self.sessions.is_empty()
     }
 
+    /// Queues `job` in its session's subqueue. Subqueues are keyed by
+    /// session identity, not id: two shards' recovery sessions both number
+    /// from zero and must stay apart.
     fn push(&mut self, job: QueuedJob) {
-        let session = job.session.id();
-        match self.sessions.iter_mut().find(|sq| sq.session == session) {
+        let session = &job.session;
+        match self.sessions.iter_mut().find(|sq| Arc::ptr_eq(&sq.jobs[0].session, session)) {
             Some(sq) => sq.jobs.push_back(job),
             None => {
-                let mut jobs = VecDeque::new();
-                jobs.push_back(job);
-                self.sessions.push_back(SessionQueue { session, deficit: 0, jobs });
+                self.sessions.push_back(SessionQueue { deficit: 0, jobs: VecDeque::from([job]) })
             }
         }
     }
@@ -166,28 +182,20 @@ impl Lane {
     }
 }
 
-/// The service queue: three aged priority lanes of per-session DRR
-/// subqueues, maintaining a running total of the queued jobs' predicted
-/// cost. Every enqueue path (submission, retry re-queue, migration,
-/// failover drain, recovery replay) funnels through
-/// [`JobScheduler::push`]/[`JobScheduler::pop`], so the backlog gauge
-/// survives cross-shard job movement without any caller-side bookkeeping.
+/// The run queue's scheduler: three aged priority lanes of per-session DRR
+/// subqueues. Each job's predicted cost is counted on its owning shard
+/// ([`crate::service::Shared::backlog_micros`]), not here, so one queue
+/// serves many shards and each still knows its own backlog.
 pub(crate) struct JobScheduler {
     lanes: [Lane; 3],
-    /// Sum of queued jobs' [`QueuedJob::cost`] (predicted microseconds of
-    /// backend time): the estimated seconds of work sitting in this
-    /// queue, which load shedding and `retry_after_hint` are derived
-    /// from.
-    backlog_micros: u64,
 }
 
 impl JobScheduler {
     pub(crate) fn new() -> Self {
-        Self { lanes: [Lane::new(), Lane::new(), Lane::new()], backlog_micros: 0 }
+        Self { lanes: [Lane::new(), Lane::new(), Lane::new()] }
     }
 
     pub(crate) fn push(&mut self, job: QueuedJob) {
-        self.backlog_micros = self.backlog_micros.saturating_add(job.cost);
         self.lanes[lane_index(job.spec.options.priority)].push(job);
     }
 
@@ -205,21 +213,20 @@ impl JobScheduler {
                 lane.passed_over += 1;
             }
         }
-        self.backlog_micros = self.backlog_micros.saturating_sub(job.cost);
         Some(job)
     }
 
     /// Removes a queued job by id (for cancellation); `None` if a worker
-    /// already picked it up or it never existed.
+    /// already picked it up or it never existed. Ids are unique across a
+    /// cluster's shards: cluster jobs draw from one cluster-wide counter.
     pub(crate) fn remove(&mut self, id: u64) -> Option<QueuedJob> {
-        let job = self.lanes.iter_mut().find_map(|lane| lane.remove(id))?;
-        self.backlog_micros = self.backlog_micros.saturating_sub(job.cost);
-        Some(job)
+        self.lanes.iter_mut().find_map(|lane| lane.remove(id))
     }
 
-    /// Predicted microseconds of backend time currently queued.
-    pub(crate) fn backlog_micros(&self) -> u64 {
-        self.backlog_micros
+    /// Per-session subqueues across all lanes.
+    #[cfg(test)]
+    pub(crate) fn subqueues(&self) -> usize {
+        self.lanes.iter().map(|lane| lane.sessions.len()).sum()
     }
 }
 
@@ -260,7 +267,13 @@ mod tests {
     /// The shard every test job belongs to: built, never started.
     fn owner() -> Arc<Shared> {
         static OWNER: OnceLock<Arc<Shared>> = OnceLock::new();
-        let build = || SolverService::build(SolverRegistry::standard(), ServiceConfig::default());
+        let build = || {
+            SolverService::build(
+                SolverRegistry::standard(),
+                ServiceConfig::default(),
+                RunQueue::new(),
+            )
+        };
         Arc::clone(OWNER.get_or_init(build))
     }
 
@@ -453,18 +466,18 @@ mod tests {
     }
 
     #[test]
-    fn backlog_tracks_pushes_pops_and_removals() {
+    fn sessions_with_equal_ids_keep_separate_subqueues() {
+        // Two shards' recovery sessions both number from zero: one id, two
+        // sessions, and DRR must still alternate between them.
         let mut sched = JobScheduler::new();
-        let s = session(0);
-        assert_eq!(sched.backlog_micros(), 0);
-        sched.push(job(0, &s, JobPriority::Normal, 1000));
-        sched.push(job(1, &s, JobPriority::Normal, 250));
-        assert_eq!(sched.backlog_micros(), 1250);
-        assert_eq!(sched.remove(1).map(|j| j.id), Some(1));
-        assert_eq!(sched.backlog_micros(), 1000);
-        assert!(sched.pop().is_some());
-        assert_eq!(sched.backlog_micros(), 0);
-        assert!(sched.pop().is_none());
+        let (a, b) = (session(0), session(0));
+        for id in 0..4 {
+            sched.push(job(id, &a, JobPriority::Normal, 6));
+        }
+        for id in 100..104 {
+            sched.push(job(id, &b, JobPriority::Normal, 6));
+        }
+        assert_eq!(pop_ids(&mut sched), vec![0, 1, 100, 101, 2, 3, 102, 103]);
     }
 
     #[test]

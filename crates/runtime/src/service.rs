@@ -4,8 +4,8 @@
 //! submitted data-management problem.
 //!
 //! Concurrency model: plain `std::thread` workers draining a shared
-//! `Mutex`-guarded `JobScheduler` under a condvar (no
-//! external dependencies). The scheduler serves priority lanes with
+//! `Mutex`-guarded `JobScheduler` under a condvar — the run queue, which a
+//! cluster's shards share (no external dependencies). The scheduler serves priority lanes with
 //! deterministic pop-counted aging (no lane starves) and per-session
 //! deficit-round-robin subqueues (no session monopolizes the pool). Every
 //! job resolves through its own `CompletionSlot` (see [`crate::handle`]) rather
@@ -41,7 +41,7 @@ use crate::journal::{unfinished, Journal, JournalEvent, SolutionSnapshot, Submit
 use crate::metrics::{BackendTelemetry, Counter, Metrics, RuntimeReport};
 use crate::portfolio::{energy_quality, PortfolioScheduler};
 use crate::registry::SolverRegistry;
-use crate::scheduler::JobScheduler;
+use crate::scheduler::{JobScheduler, RunQueue};
 use crate::submit::SessionCore;
 use crate::sync::{CondvarExt, LockExt};
 use crate::trace::{
@@ -58,8 +58,8 @@ use qdm_qubo::model::QuboModel;
 use qdm_qubo::probe::{StageProbe, TeeProbe};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -241,8 +241,8 @@ pub type JobOutcome = Result<JobResult, JobError>;
 /// worker sees a job. Built exactly once per job by [`RouteInfo::encode`],
 /// compile-free: the QUBO is built, canonically fingerprinted via
 /// [`qdm_qubo::model::QuboModel::canonical_form`], and carried to whichever
-/// shard (and worker) ends up running the job, so migration never changes
-/// what executes.
+/// shard's worker ends up running the job, so where a job runs never
+/// changes what executes.
 ///
 /// It is built wherever the model is encoded anyway: the cluster
 /// front-end builds it to pick the shard, a journaled submission builds it
@@ -271,10 +271,10 @@ impl RouteInfo {
 /// A job sitting in the service queue, waiting for a worker.
 pub(crate) struct QueuedJob {
     pub(crate) id: u64,
-    /// The shard that admitted the job. It serves the job wherever the job
-    /// runs — cache, single-flight, portfolio, breakers, journal, trace,
-    /// and ledger — so moving a queued job between shards (a peer's idle
-    /// pull, migration, failover) lends only a worker, never ownership.
+    /// The shard that admitted the job. It serves the job on whichever
+    /// shard's worker pops it from the cluster's one run queue — cache,
+    /// single-flight, portfolio, breakers, journal, trace, and ledger — and
+    /// counts it in its queue-depth and backlog gauges while it waits.
     pub(crate) owner: Arc<Shared>,
     /// Deficit-round-robin cost: the job's predicted microseconds of
     /// backend time (≥ 1), spent from the owning session's per-lane
@@ -289,7 +289,7 @@ pub(crate) struct QueuedJob {
     pub(crate) session: Arc<SessionCore>,
     /// The job's route. Cluster and journaled submissions queue with it
     /// built; every other job gets it from its worker's first attempt, and
-    /// it stays here so retries, parked backoffs, and migrations reuse it.
+    /// it stays here so retries and parked backoffs reuse it.
     pub(crate) route: Option<RouteInfo>,
     /// Mid-retry state carried across a backoff park (see [`RetryState`]);
     /// `None` for a job that has not been parked.
@@ -356,8 +356,13 @@ pub(crate) struct Shared {
     pub(crate) inflight: FlightTable,
     pub(crate) portfolio: PortfolioScheduler,
     pub(crate) metrics: Metrics,
-    pub(crate) queue: Mutex<JobScheduler>,
-    pub(crate) job_ready: Condvar,
+    /// The run queue this service's workers pop: its own when standalone,
+    /// the cluster's one queue inside a [`crate::cluster::ClusterService`].
+    pub(crate) queue: Arc<RunQueue>,
+    /// Predicted microseconds of backend time queued for jobs this service
+    /// owns (the sum of their [`QueuedJob::cost`]), wherever they queue:
+    /// the backlog that load shedding and `retry_after_hint` read.
+    backlog_micros: AtomicU64,
     pub(crate) shutting_down: AtomicBool,
     pub(crate) next_job_id: AtomicU64,
     pub(crate) next_session_id: AtomicU64,
@@ -393,25 +398,12 @@ pub(crate) struct Shared {
     /// off the scheduler queue so they cost no scheduling credit and the
     /// workers stay free for runnable work.
     pub(crate) delayed: Mutex<Vec<DelayedJob>>,
-    /// The other shards of this service's cluster, in shard order, held
-    /// weakly so no shard keeps another alive. Set once by the cluster
-    /// before any worker starts; unset for a standalone service (or a
-    /// one-shard cluster), whose workers never look past their own queue.
-    pub(crate) peers: OnceLock<Vec<Weak<Shared>>>,
-    /// Workers of this shard that found every queue empty and are about to
-    /// wait, or waiting, on [`Self::job_ready`]. Raised and lowered by
-    /// `next_job`; peers read it in [`Self::push`] to decide whom to kick.
-    idle_workers: AtomicUsize,
-    /// Bumped under this shard's queue lock each time a peer's
-    /// [`Self::push`] kicks its idle workers, so a worker still scanning
-    /// the peers when the kick lands sees it before it waits.
-    kicks: AtomicU64,
 }
 
 impl Shared {
     /// Raises [`Self::shutting_down`]. Takes the queue guard so the store
     /// happens under the queue lock: a worker in `next_job` reads the flag
-    /// and then waits on [`Self::job_ready`] without releasing that lock in
+    /// and then waits on the queue's condvar without releasing that lock in
     /// between, so the caller's following `notify_all` cannot fall into
     /// the gap and leave the worker (and the `join` in `drop`) asleep
     /// forever.
@@ -419,22 +411,26 @@ impl Shared {
         self.shutting_down.store(true, Ordering::SeqCst);
     }
 
-    /// Queues `job` and wakes a worker for it: one of this shard's own and,
-    /// inside a cluster, one idle worker of each peer, any of which may run
-    /// it for its owner. An idle peer worker raises its idle count before
-    /// it scans this queue, so a zero read here means its scan has yet to
-    /// lock this queue and will find the job itself; a nonzero read kicks
-    /// it under its own queue lock, which it re-checks before waiting.
+    /// Queues `job`, owned by this service, on the run queue and wakes one
+    /// worker for it. The job counts in this service's depth and backlog
+    /// gauges before any worker can see it, so a pop never undercounts.
     pub(crate) fn push(&self, job: QueuedJob) {
-        self.queue.lock_unpoisoned().push(job);
-        self.job_ready.notify_one();
-        for peer in self.peers.get().into_iter().flatten().filter_map(Weak::upgrade) {
-            if peer.idle_workers.load(Ordering::SeqCst) > 0 {
-                let _queue = peer.queue.lock_unpoisoned();
-                peer.kicks.fetch_add(1, Ordering::SeqCst);
-                peer.job_ready.notify_one();
-            }
-        }
+        self.metrics.on_enqueue();
+        self.backlog_micros.fetch_add(job.cost, Ordering::Relaxed);
+        self.queue.jobs.lock_unpoisoned().push(job);
+        self.queue.ready.notify_one();
+    }
+
+    /// Takes a job this service owns off its queue gauges: a worker popped
+    /// it, or a cancel removed it.
+    pub(crate) fn on_dequeue(&self, job: &QueuedJob) {
+        self.metrics.dec(Counter::QueueDepth);
+        self.backlog_micros.fetch_sub(job.cost, Ordering::Relaxed);
+    }
+
+    /// Predicted seconds of backend work queued for this service's jobs.
+    pub(crate) fn backlog_seconds(&self) -> f64 {
+        self.backlog_micros.load(Ordering::Relaxed) as f64 / 1e6
     }
 
     /// Nanoseconds since the service epoch (monotonic).
@@ -493,9 +489,9 @@ pub struct ServiceConfig {
     /// Prometheus series); `None` — the default — for a standalone service.
     pub shard: Option<u64>,
     /// Trace/latency epoch override. A cluster passes one shared epoch to
-    /// every shard so queue-wait timestamps stay valid when a job migrates
-    /// between shards; `None` — the default — uses the service's own start
-    /// instant.
+    /// every shard, so a job's queue-wait timestamps, taken by its owner,
+    /// stay valid on whichever shard's worker pops it; `None` — the
+    /// default — uses the service's own start instant.
     pub epoch: Option<Instant>,
     /// Fault-injection hook consulted at the [`crate::fault::FaultSite`]
     /// seams of every job; `None` — the default — injects nothing. Tests
@@ -614,12 +610,16 @@ impl SolverService {
     /// Starts a service over a custom registry.
     pub fn with_registry(registry: SolverRegistry, config: ServiceConfig) -> Self {
         let workers = config.workers;
-        Self::start(Self::build(registry, config), workers)
+        Self::start(Self::build(registry, config, RunQueue::new()), workers)
     }
 
-    /// Builds a service's shared state without starting its workers, so a
-    /// cluster can wire its shards together first.
-    pub(crate) fn build(registry: SolverRegistry, config: ServiceConfig) -> Arc<Shared> {
+    /// Builds a service's shared state over `queue` without starting its
+    /// workers. A cluster passes every shard the same queue.
+    pub(crate) fn build(
+        registry: SolverRegistry,
+        config: ServiceConfig,
+        queue: Arc<RunQueue>,
+    ) -> Arc<Shared> {
         let n_backends = registry.len();
         let (sink, ring): (Option<Arc<dyn TraceSink>>, Option<Arc<TraceRing>>) =
             match config.tracing {
@@ -640,8 +640,8 @@ impl SolverService {
             inflight: FlightTable::new(),
             portfolio: PortfolioScheduler::new(n_backends),
             metrics: Metrics::new(),
-            queue: Mutex::new(JobScheduler::new()),
-            job_ready: Condvar::new(),
+            queue,
+            backlog_micros: AtomicU64::new(0),
             shutting_down: AtomicBool::new(false),
             next_job_id: AtomicU64::new(0),
             next_session_id: AtomicU64::new(0),
@@ -655,9 +655,6 @@ impl SolverService {
             clock: config.clock.unwrap_or_else(|| Arc::new(MonotonicClock::new())),
             journal: config.journal,
             delayed: Mutex::new(Vec::new()),
-            peers: OnceLock::new(),
-            idle_workers: AtomicUsize::new(0),
-            kicks: AtomicU64::new(0),
         })
     }
 
@@ -714,8 +711,7 @@ impl SolverService {
             .collect();
         telemetry.sort_by(|a, b| a.backend.cmp(&b.backend));
         report.backend_telemetry = telemetry;
-        report.queue_backlog_seconds =
-            self.shared.queue.lock_unpoisoned().backlog_micros() as f64 / 1e6;
+        report.queue_backlog_seconds = self.shared.backlog_seconds();
         if let Some(ring) = &self.shared.ring {
             report.traces_recorded = ring.recorded();
             report.traces_dropped = ring.dropped();
@@ -849,20 +845,20 @@ impl SolverService {
     /// drains gracefully.
     pub fn simulate_crash(self) {
         {
-            let mut queue = self.shared.queue.lock_unpoisoned();
+            let mut queue = self.shared.queue.jobs.lock_unpoisoned();
             self.shared.begin_shutdown(&queue);
             while queue.pop().is_some() {}
         }
         self.shared.delayed.lock_unpoisoned().clear();
-        self.shared.job_ready.notify_all();
+        self.shared.queue.ready.notify_all();
         // `drop(self)` joins the workers.
     }
 }
 
 impl Drop for SolverService {
     fn drop(&mut self) {
-        self.shared.begin_shutdown(&self.shared.queue.lock_unpoisoned());
-        self.shared.job_ready.notify_all();
+        self.shared.begin_shutdown(&self.shared.queue.jobs.lock_unpoisoned());
+        self.shared.queue.ready.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -880,13 +876,13 @@ fn worker_loop(shared: &Shared) {
 
 /// Claims the next runnable job. A parked retry whose backoff has elapsed
 /// on the service clock takes precedence (it was dequeued long ago and owes
-/// the caller a resolution), then the scheduler queue, then — inside a
-/// cluster — the deepest peer's queue, so a shard's worker never sleeps
-/// while a peer holds queued work. Blocks under the condvar when all are
-/// empty; while not-yet-due parked jobs exist the wait is sliced so their
-/// due times are re-checked without busy-spinning. Returns `None` at
-/// shutdown — after handing out any still-parked jobs, backoff forfeited,
-/// so graceful teardown resolves them instead of stranding their handles.
+/// the caller a resolution), then the run queue — inside a cluster, the one
+/// queue every shard's workers pop, so no worker sleeps while any shard's
+/// job waits. Blocks under the condvar when both are empty; while
+/// not-yet-due parked jobs exist the wait is sliced so their due times are
+/// re-checked without busy-spinning. Returns `None` at shutdown — after
+/// handing out any still-parked jobs, backoff forfeited, so graceful
+/// teardown resolves them instead of stranding their handles.
 fn next_job(shared: &Shared) -> Option<QueuedJob> {
     loop {
         let now_micros = shared.clock.now_micros();
@@ -896,74 +892,29 @@ fn next_job(shared: &Shared) -> Option<QueuedJob> {
                 return Some(delayed.remove(pos).job);
             }
         }
-        let mut queue = shared.queue.lock_unpoisoned();
+        let mut queue = shared.queue.jobs.lock_unpoisoned();
         if let Some(job) = queue.pop() {
-            shared.metrics.dec(Counter::QueueDepth);
+            job.owner.on_dequeue(&job);
             return Some(job);
         }
         if shared.shutting_down.load(Ordering::SeqCst) {
             drop(queue);
             return shared.delayed.lock_unpoisoned().pop().map(|d| d.job);
         }
-        let peers = shared.peers.get();
-        if let Some(peers) = peers {
-            // Count this worker idle *before* scanning the peers, under
-            // this queue's lock, and keep it counted through the wait: a
-            // peer enqueue the scan misses then sees the count and kicks
-            // (see `Shared::push`), so the kick is either observed below
-            // or wakes the wait.
-            shared.idle_workers.fetch_add(1, Ordering::SeqCst);
-            let kicks = shared.kicks.load(Ordering::SeqCst);
-            drop(queue);
-            if let Some(job) = pull_from_peers(peers) {
-                shared.idle_workers.fetch_sub(1, Ordering::SeqCst);
-                return Some(job);
-            }
-            queue = shared.queue.lock_unpoisoned();
-            let own = queue.pop();
-            if own.is_some()
-                || shared.shutting_down.load(Ordering::SeqCst)
-                || shared.kicks.load(Ordering::SeqCst) != kicks
-            {
-                shared.idle_workers.fetch_sub(1, Ordering::SeqCst);
-                if own.is_some() {
-                    shared.metrics.dec(Counter::QueueDepth);
-                    return own;
-                }
-                continue;
-            }
-        }
         let woken = if shared.delayed.lock_unpoisoned().is_empty() {
-            shared.job_ready.wait_unpoisoned(queue)
+            shared.queue.ready.wait_unpoisoned(queue)
         } else {
             // A parked job may come due before anything is enqueued;
             // wake on a bounded slice and re-check its clock.
             shared
-                .job_ready
+                .queue
+                .ready
                 .wait_timeout(queue, Duration::from_millis(1))
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .0
         };
         drop(woken);
-        if peers.is_some() {
-            shared.idle_workers.fetch_sub(1, Ordering::SeqCst);
-        }
     }
-}
-
-/// Pops a job for an idle worker from the deepest peer queue. Peers are
-/// ranked by their queue-depth gauges, deepest first with ties to the
-/// lowest shard index, and locked one at a time — never two queue locks at
-/// once — so a gauge that lags its queue costs only a wasted probe. The
-/// queue the job left counts the dequeue; the job keeps its owner.
-fn pull_from_peers(peers: &[Weak<Shared>]) -> Option<QueuedJob> {
-    let mut ranked: Vec<Arc<Shared>> = peers.iter().filter_map(Weak::upgrade).collect();
-    ranked.sort_by_cached_key(|peer| std::cmp::Reverse(peer.metrics.get(Counter::QueueDepth)));
-    ranked.into_iter().find_map(|peer| {
-        let job = peer.queue.lock_unpoisoned().pop()?;
-        peer.metrics.dec(Counter::QueueDepth);
-        Some(job)
-    })
 }
 
 /// Runs one claimed job on `host`'s worker to resolution — or parks it
@@ -1082,7 +1033,7 @@ fn run_job(host: &Shared, mut job: QueuedJob) {
             host.delayed.lock_unpoisoned().push(DelayedJob { not_before_micros, job });
             // Move indefinitely-blocked waiters into the sliced wait
             // that re-checks parked due times.
-            host.job_ready.notify_all();
+            host.queue.ready.notify_all();
             return;
         }
         if retryable && shared.retry.max_retries > 0 {

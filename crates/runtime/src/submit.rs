@@ -361,7 +361,6 @@ pub(crate) fn enqueue_reserved(
     recovered: bool,
 ) -> JobHandle {
     shared.metrics.inc(Counter::JobsSubmitted);
-    shared.metrics.on_enqueue();
     // Journal the submission *before* the job becomes runnable: once a
     // worker can pick it up, a crash at any later point finds either this
     // record alone (→ recovery replays the job) or this record plus a

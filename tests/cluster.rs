@@ -1,10 +1,12 @@
 //! Integration tests for the sharded cluster front-end: shard-count
 //! invariance of results, token-bucket shedding with a manual clock (no
-//! sleeps), cross-shard migration that never loses or duplicates a job,
-//! cancellation that reaches a migrated job, idle shards that run a
-//! wedged peer's queue, and the ownership rule behind moving and pulling
-//! jobs: a moved job is still served, journaled, cached, and counted by
-//! the shard that admitted it.
+//! sleeps), and the one run queue every shard's workers pop — a backlog
+//! of one shard runs on both workers without losing or duplicating a job,
+//! cancel reaches a queued job, an idle shard runs a wedged peer's jobs,
+//! priority lanes span shards, and each shard's gauges count the queued
+//! jobs it owns. Through all of it the ownership rule holds: a job is
+//! served, journaled, cached, and counted by the shard that admitted it,
+//! whichever shard's worker ran it.
 
 use qdm::prelude::*;
 use qdm::qubo::model::QuboModel;
@@ -244,8 +246,8 @@ fn as_journals(journals: &[Arc<MemoryJournal>]) -> Vec<Arc<dyn Journal>> {
     journals.iter().map(|j| Arc::clone(j) as Arc<dyn Journal>).collect()
 }
 
-/// Every shard's own ledger balances: a job counts on the shard that
-/// admitted it, wherever it ran.
+/// Every shard's own ledger balances and its queue gauges are back to
+/// zero: a job counts on the shard that admitted it, wherever it ran.
 fn assert_each_shard_balances(per_shard: &[RuntimeReport]) {
     for report in per_shard {
         assert_eq!(
@@ -254,6 +256,7 @@ fn assert_each_shard_balances(per_shard: &[RuntimeReport]) {
             "shard ledger out of balance: {report}"
         );
         assert_eq!(report.queue_depth, 0, "nothing left queued: {report}");
+        assert_eq!(report.queue_backlog_seconds, 0.0, "no queued work left: {report}");
     }
 }
 
@@ -284,7 +287,6 @@ fn migration_never_loses_or_duplicates_a_job() {
     let cluster = ClusterService::new(ClusterConfig {
         shards: 2,
         service: ServiceConfig { workers: 1, cache_capacity: 16, ..Default::default() },
-        migration_threshold: Some(0),
         journals: Some(as_journals(&journals)),
         ..Default::default()
     });
@@ -292,10 +294,9 @@ fn migration_never_loses_or_duplicates_a_job() {
     let _unwedge = OpenOnDrop(Arc::clone(&gate));
     let session = cluster.session("t", SessionConfig { queue_capacity: 32, ..Default::default() });
 
-    // Every job shares one canonical fingerprint, so all of them route to
-    // the same home shard while its single worker is parked on the gate —
-    // a guaranteed backlog. With a migration threshold of 0, the submit
-    // path must rebalance that backlog onto the idle shard.
+    // Every job shares one canonical fingerprint, so all of them belong to
+    // the same home shard: a one-owner backlog. Both shards' workers pop
+    // the one run queue, so both run part of it.
     let handles: Vec<JobHandle> = (0..JOBS)
         .map(|seed| session.submit(JobSpec::new(gated(&BACKLOG_COSTS, &gate), seed)).unwrap())
         .collect();
@@ -305,24 +306,24 @@ fn migration_never_loses_or_duplicates_a_job() {
 
     gate.open();
     for handle in &handles {
-        assert!(handle.wait().is_ok(), "a migrated job must still resolve its handle");
+        assert!(handle.wait().is_ok(), "a job run by a peer must still resolve its handle");
     }
     session.drain();
     let ids: HashSet<u64> = session.completions().map(|c| c.id).collect();
     assert_eq!(ids.len(), JOBS as usize, "every job completes exactly once");
 
     let merged = cluster.report();
-    assert!(merged.migrations >= 1, "a depth spread of {JOBS} vs 0 must migrate: {merged}");
+    assert_eq!(merged.migrations, 0, "nothing migrates between shards: {merged}");
     assert_eq!(merged.jobs_submitted, JOBS);
     assert_eq!(merged.jobs_completed, JOBS);
     assert_eq!(merged.jobs_failed, 0);
     assert_eq!(merged.jobs_cancelled, 0);
 
-    // Migration moves a job's execution, never its ledger entry: the home
-    // shard admitted every job and counts every completion, and each
-    // shard's own ledger and journal balance. Both shards ran part of the
-    // backlog — the home worker its first job, the other shard the jobs
-    // it ran for its peer.
+    // The shared queue moves a job's execution, never its ledger entry:
+    // the home shard admitted every job and counts every completion, and
+    // each shard's own ledger and journal balance. Both shards ran part of
+    // the backlog — the home worker at least the job it wedged on, the
+    // other shard the jobs it ran for its peer.
     let home =
         cluster.shard_for_fingerprint(gated(&BACKLOG_COSTS, &gate).to_qubo().canonical_form().0);
     let per_shard = cluster.shard_reports();
@@ -342,15 +343,15 @@ fn migration_never_loses_or_duplicates_a_job() {
 
 #[test]
 fn a_moved_job_finishes_in_the_journal_that_recorded_it() {
-    // Regression: a migrated job used to write `Completed` into the
-    // recipient's journal, so its home journal kept it unfinished forever
-    // and a cluster rebuilt over the journals replayed delivered work.
+    // Regression: a job run by another shard's worker used to write
+    // `Completed` into that shard's journal, so its home journal kept it
+    // unfinished forever and a cluster rebuilt over the journals replayed
+    // delivered work.
     const JOBS: u64 = 8;
     let journals = one_journal_per_shard(2);
     let config = || ClusterConfig {
         shards: 2,
         service: ServiceConfig { workers: 1, cache_capacity: 16, ..Default::default() },
-        migration_threshold: Some(0),
         journals: Some(as_journals(&journals)),
         ..Default::default()
     };
@@ -380,7 +381,6 @@ fn a_moved_job_finishes_in_the_journal_that_recorded_it() {
 
 #[test]
 fn an_idle_shard_runs_a_wedged_peers_queue_for_its_owner() {
-    // No migration: only the idle pull can move work between shards.
     let journals = one_journal_per_shard(2);
     let cluster = ClusterService::new(ClusterConfig {
         shards: 2,
@@ -388,29 +388,21 @@ fn an_idle_shard_runs_a_wedged_peers_queue_for_its_owner() {
         journals: Some(as_journals(&journals)),
         ..Default::default()
     });
-    let shard_of = |costs: &[f64]| {
-        cluster.shard_for_fingerprint(gated(costs, &Gate::opened()).to_qubo().canonical_form().0)
-    };
     // Two instances whose fingerprints route to different shards.
-    let family = |k: usize| {
-        let mut costs = BACKLOG_COSTS.to_vec();
-        costs[3] += k as f64;
-        costs
-    };
-    let other = (1..).map(family).find(|c| shard_of(c) != shard_of(&BACKLOG_COSTS)).unwrap();
+    let home = shard_of(&cluster, &BACKLOG_COSTS);
+    let other = (1..).map(variant).find(|c| shard_of(&cluster, c) != home).unwrap();
     let session = cluster.session("t", SessionConfig { queue_capacity: 16, ..Default::default() });
 
     // Wedge one worker in decode. Whichever shard's worker claimed the
-    // job, the follow-up jobs go to *that* shard, whose only worker is
+    // job, the follow-up jobs belong to *that* shard, whose only worker is
     // stuck: only the other shard's worker can run them.
     let gate = Arc::new(Gate::default());
     let _unwedge = OpenOnDrop(Arc::clone(&gate));
     let wedged_job = session.submit(JobSpec::new(gated(&BACKLOG_COSTS, &gate), 0)).unwrap();
     gate.await_arrivals(1);
-    let home = shard_of(&BACKLOG_COSTS);
     let pulled_first = cluster.shard_reports()[1 - home].jobs_run_for_peers == 1;
-    let (wedged, costs) = if pulled_first { (1 - home, other) } else { (home, family(0)) };
-    assert_eq!(shard_of(&costs), wedged);
+    let (wedged, costs) = if pulled_first { (1 - home, other) } else { (home, variant(0)) };
+    assert_eq!(shard_of(&cluster, &costs), wedged);
     let free = 1 - wedged;
 
     let open = Gate::opened();
@@ -461,14 +453,13 @@ fn an_idle_shard_runs_a_wedged_peers_queue_for_its_owner() {
 
 #[test]
 fn cancel_reaches_a_job_migrated_onto_a_peer_queue() {
-    // Regression: cancel searched only the owner's queue, so a job that
-    // migration had moved onto the peer's queue reported `Running` and was
-    // solved anyway.
+    // Regression: cancel once searched only the owner's queue, so a job
+    // queued elsewhere reported `Running` and was solved anyway. With one
+    // run queue, cancel finds every queued job whichever workers are busy.
     let journals = one_journal_per_shard(2);
     let cluster = ClusterService::new(ClusterConfig {
         shards: 2,
         service: ServiceConfig { workers: 1, cache_capacity: 16, ..Default::default() },
-        migration_threshold: Some(0),
         journals: Some(as_journals(&journals)),
         ..Default::default()
     });
@@ -477,14 +468,10 @@ fn cancel_reaches_a_job_migrated_onto_a_peer_queue() {
     let session = cluster.session("t", SessionConfig { queue_capacity: 8, ..Default::default() });
     let submit = |seed| session.submit(JobSpec::new(gated(&BACKLOG_COSTS, &gate), seed)).unwrap();
 
-    // Wedge both workers in decode (the second job may reach the idle
-    // worker by migration or by its pull), then queue two more jobs on the
-    // home shard: a depth spread of 2 migrates one of them to the peer.
+    // Wedge both workers in decode, then queue two more jobs behind them.
     let running = [submit(0), submit(1)];
     gate.await_arrivals(2);
-    let migrated_before = cluster.report().migrations;
     let queued = [submit(2), submit(3)];
-    assert_eq!(cluster.report().migrations, migrated_before + 1);
     for handle in &queued {
         assert_eq!(handle.cancel(), CancelStatus::Cancelled, "job {} is still queued", handle.id());
     }
@@ -524,6 +511,102 @@ fn cancel_reaches_a_job_migrated_onto_a_peer_queue() {
         assert_eq!(records(handle.id()), (0, 1), "job {}", handle.id());
     }
     assert!(unfinished(&events).is_empty());
+}
+
+/// A variant of the backlog costs for every `k`: one costlier last choice,
+/// so each variant has its own canonical fingerprint.
+fn variant(k: usize) -> Vec<f64> {
+    let mut costs = BACKLOG_COSTS.to_vec();
+    costs[3] += k as f64;
+    costs
+}
+
+fn shard_of(cluster: &ClusterService, costs: &[f64]) -> usize {
+    cluster.shard_for_fingerprint(gated(costs, &Gate::opened()).to_qubo().canonical_form().0)
+}
+
+#[test]
+fn a_high_job_of_one_shard_runs_before_another_shards_low_backlog() {
+    // Priority lanes span the shards. Per-shard queues would let a freed
+    // worker drain its own shard's `Low` backlog before it looked at a
+    // peer's `High` job.
+    let cluster = cluster_of(2);
+    let home = shard_of(&cluster, &BACKLOG_COSTS);
+    let (first, second) = (Arc::new(Gate::default()), Arc::new(Gate::default()));
+    let _unwedge = (OpenOnDrop(Arc::clone(&first)), OpenOnDrop(Arc::clone(&second)));
+    let wedges = cluster.session("wedge", SessionConfig::default());
+
+    // Wedge both workers, one gate each. Both wedges belong to `home`; a
+    // peer's worker that runs one counts it as run for a peer, which tells
+    // whose worker the first gate holds.
+    let wedge = |gate: &Arc<Gate>, seed| {
+        let handle = wedges.submit(JobSpec::new(gated(&BACKLOG_COSTS, gate), seed)).unwrap();
+        gate.await_arrivals(1);
+        handle
+    };
+    let first_wedge = wedge(&first, 0);
+    let freed =
+        if cluster.shard_reports()[1 - home].jobs_run_for_peers == 1 { 1 - home } else { home };
+    let second_wedge = wedge(&second, 1);
+
+    // `Low` jobs owned by the shard whose worker the first gate frees, then
+    // one `High` job owned by the other shard.
+    let low_costs = (0..).map(variant).find(|c| shard_of(&cluster, c) == freed).unwrap();
+    let high_costs = (0..).map(variant).find(|c| shard_of(&cluster, c) != freed).unwrap();
+    let open = Gate::opened();
+    let session = cluster.session("t", SessionConfig { queue_capacity: 16, ..Default::default() });
+    let spec = |costs: &[f64], seed, priority| {
+        JobSpec::new(gated(costs, &open), seed).with_priority(priority).on_backend("exact")
+    };
+    let lows: Vec<JobHandle> = (10..14)
+        .map(|seed| session.submit(spec(&low_costs, seed, JobPriority::Low)).unwrap())
+        .collect();
+    let high = session.submit(spec(&high_costs, 20, JobPriority::High)).unwrap();
+
+    // One worker runs them all, one at a time, in the queue's order.
+    first.open();
+    for handle in lows.iter().chain([&high]) {
+        assert!(wait_within(handle, Duration::from_secs(30)).is_ok());
+    }
+    let order: Vec<u64> = session.completions().map(|c| c.id).collect();
+    assert_eq!(order.len(), 5);
+    assert_eq!(order[0], high.id(), "the High job goes first: {order:?}");
+
+    second.open();
+    for handle in [first_wedge, second_wedge] {
+        assert!(handle.wait().is_ok());
+    }
+    wedges.drain();
+    session.drain();
+    assert_each_shard_balances(&cluster.shard_reports());
+}
+
+#[test]
+fn queue_gauges_count_each_owners_waiting_jobs() {
+    const QUEUED: u64 = 5;
+    let cluster = cluster_of(2);
+    let home = shard_of(&cluster, &BACKLOG_COSTS);
+    let gate = Arc::new(Gate::default());
+    let _unwedge = OpenOnDrop(Arc::clone(&gate));
+    let session = cluster.session("t", SessionConfig { queue_capacity: 16, ..Default::default() });
+    let submit = |seed| session.submit(JobSpec::new(gated(&BACKLOG_COSTS, &gate), seed)).unwrap();
+
+    // Wedge both workers, then queue jobs that all belong to `home`.
+    let mut handles = vec![submit(0), submit(1)];
+    gate.await_arrivals(2);
+    handles.extend((2..2 + QUEUED).map(submit));
+    let per_shard = cluster.shard_reports();
+    gate.open();
+    assert_eq!(per_shard[home].queue_depth, QUEUED, "{per_shard:?}");
+    assert!(per_shard[home].queue_backlog_seconds > 0.0, "{per_shard:?}");
+    assert_eq!(per_shard[1 - home].queue_depth, 0, "{per_shard:?}");
+    assert_eq!(per_shard[1 - home].queue_backlog_seconds, 0.0, "{per_shard:?}");
+
+    for handle in &handles {
+        assert!(handle.wait().is_ok());
+    }
+    session.drain();
+    assert_each_shard_balances(&cluster.shard_reports());
 }
 
 #[test]

@@ -17,7 +17,7 @@ use qdm::qubo::probe::{SolverCheckpoint, StageProbe};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Minimal pick-one problem (same shape as the robustness tests): `n`
 /// binary choices, exactly one must be set.
@@ -77,6 +77,17 @@ impl Gate {
         while !*open {
             open = self.cv.wait(open).unwrap();
         }
+    }
+}
+
+/// Opens its gate when dropped. Declared after the service, it drops first,
+/// so a failed assertion unwinds through the service's teardown instead of
+/// hanging on a worker still parked in the gate.
+struct OpenOnDrop(Arc<Gate>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.open();
     }
 }
 
@@ -234,6 +245,7 @@ fn post_submit_crash_recovers_queued_job() {
     // Pin the single worker inside the blocker's decode (pre-serve), then
     // queue the target behind it: the target is journaled but unpicked.
     let gate = Gate::new();
+    let _unwedge = OpenOnDrop(Arc::clone(&gate));
     let entered = Gate::new();
     let blocker: SharedProblem = Arc::new(GatedPick {
         costs: vec![1.0, 0.5, 2.0],
@@ -255,7 +267,9 @@ fn post_submit_crash_recovers_queued_job() {
     // problem Arc's strong count falling back to ours) but cannot join the
     // gated worker until we open the gate.
     let crasher = std::thread::spawn(move || service.simulate_crash());
+    let deadline = Instant::now() + Duration::from_secs(30);
     while Arc::strong_count(&target_problem) != 1 {
+        assert!(Instant::now() < deadline, "the crash never dropped the queued target");
         std::thread::yield_now();
     }
     gate.open();
@@ -397,6 +411,7 @@ fn cancelled_jobs_are_not_resurrected() {
         ..Default::default()
     });
     let gate = Gate::new();
+    let _unwedge = OpenOnDrop(Arc::clone(&gate));
     let blocker: SharedProblem = Arc::new(GatedPick {
         costs: vec![0.5, 1.5],
         gate: Arc::clone(&gate),
