@@ -21,6 +21,16 @@
 //!   partitions each sweep into independence classes whose proposals are
 //!   evaluated concurrently, with the same bit-identical-at-any-thread-count
 //!   discipline.
+//!
+//! The per-proposal cost is kept down without moving any decision, RNG
+//! draw or float sum. The sweep temperatures are computed once per solve.
+//! The Metropolis test (`metropolis`, shared with SQA) reads a static
+//! 1024-bucket table keyed by the top mantissa bits of the uniform draw:
+//! each bucket holds the `z = Δ/t` below which every draw in it accepts and
+//! above which every draw in it rejects, each widened by a 1e-9 margin, so
+//! `exp()` runs only for the ~0.1% of proposals whose `z` falls between the
+//! two. The field initialisers of [`CompiledQubo`] are branch-free over the
+//! random assignment, and its flip update picks the sign once per flip.
 
 use qdm_qubo::compiled::{Coloring, CompiledQubo};
 use qdm_qubo::model::QuboModel;
@@ -93,22 +103,95 @@ impl SaParams {
 /// per-class coordination.
 pub const COLORED_SWEEP_MIN_VARS: usize = 512;
 
+/// Buckets of the Metropolis lookup table, indexed by the top 10 mantissa
+/// bits of `u + 1`.
+const BUCKETS: usize = 1024;
+
+/// `[reject_above, accept_below]` per bucket `k` (see [`metropolis`]):
+/// `reject_above[k] = -ln(k/1024)·(1+1e-9)+1e-9` (`+∞` for `k = 0`) and
+/// `accept_below[k] = -ln((k+1)/1024)·(1−1e-9)−1e-9`. Built at compile
+/// time, so the hot loop reads a static with no initialisation check.
+static METROPOLIS_TABLE: [[f64; 2]; BUCKETS] = metropolis_table();
+
+const fn metropolis_table() -> [[f64; 2]; BUCKETS] {
+    let mut table = [[0.0; 2]; BUCKETS];
+    let mut k = 0;
+    while k < BUCKETS {
+        let reject_above =
+            if k == 0 { f64::INFINITY } else { -ln_bucket_edge(k) * (1.0 + 1e-9) + 1e-9 };
+        let accept_below = -ln_bucket_edge(k + 1) * (1.0 - 1e-9) - 1e-9;
+        table[k] = [reject_above, accept_below];
+        k += 1;
+    }
+    table
+}
+
+/// `ln(k / 1024)` for `1 ≤ k ≤ 1024`, evaluable at compile time: with
+/// `k = m·2^e`, `m ∈ [1, 2)`, it is `(e − 10)·ln 2 + 2·atanh((m−1)/(m+1))`,
+/// the series summed to far below the table's 1e-9 margins (the unit test
+/// holds it to `f64::ln`).
+const fn ln_bucket_edge(k: usize) -> f64 {
+    let mut m = k as f64;
+    let mut e = 0i32;
+    while m >= 2.0 {
+        m /= 2.0;
+        e += 1;
+    }
+    let s = (m - 1.0) / (m + 1.0);
+    let (mut term, mut sum, mut i) = (s, 0.0, 0);
+    while i < 40 {
+        sum += term / (2 * i + 1) as f64;
+        term *= s * s;
+        i += 1;
+    }
+    (e - 10) as f64 * std::f64::consts::LN_2 + 2.0 * sum
+}
+
+/// The table half of [`metropolis`]: `Some(decision)` when `u`'s bucket
+/// settles `u < exp(-z)` without `exp()`, `None` when only `exp()` can.
+///
+/// For a draw `u` in `[0, 1)`, `u + 1` rounds into `[1, 2)` (the largest
+/// draws round to 2 and fall through), and its top 10 mantissa bits are
+/// `k = ⌊1024·u⌋`, or `k + 1` when the addition rounds `u` up across a
+/// bucket edge (it moves `u` by at most 2⁻⁵³). If `z` is
+/// above `reject_above[k]`, then `exp(-z) < (k/1024)·(1 − 1e-9)`, which is
+/// below every `u` the bucket can hold; if `z` is below `accept_below[k]`,
+/// then `exp(-z) > ((k+1)/1024)·(1 + 1e-9)`, above every such `u`. The
+/// margins dwarf that 2⁻⁵³ shift, the few ulps of the table's own rounding
+/// and the ulp of `exp()`, so a decided proposal is decided as the plain
+/// test decides it. NaN, negative or `≥ 1` draws (`u + 1` outside `[1, 2)`),
+/// NaN `z`, bucket 0's reject side (`+∞`) and a `z` inside its bucket's
+/// band are left to `exp()`.
+#[inline(always)]
+fn bracket(z: f64, u: f64) -> Option<bool> {
+    let bits = (u + 1.0).to_bits();
+    if bits >> 52 != 0x3ff {
+        return None;
+    }
+    let [reject_above, accept_below] = METROPOLIS_TABLE[(bits >> 42) as usize & (BUCKETS - 1)];
+    if z > reject_above {
+        Some(false)
+    } else if z < accept_below {
+        Some(true)
+    } else {
+        None
+    }
+}
+
 /// The Metropolis test for a proposal that changes the energy by `delta` at
 /// temperature `t > 0`: a downhill or flat move is taken without a draw; an
 /// uphill move takes `u` from `draw` and is taken iff
 /// `u < (-delta / t).exp()`.
 ///
-/// Most uphill proposals are clear rejections, so `u` is first held against
-/// the cubic Taylor bound `exp(-z) ≤ 1 / (1 + z + z²/2 + z³/6)`,
-/// `z = delta / t ≥ 0`, and rejected without `exp()` when
-/// `u·(1 + z + z²/2 + z³/6) ≥ 1 + 1e-9`. That margin is far above the few
-/// ulps of rounding in the polynomial and in `exp()`, so the shortcut only
-/// rejects proposals the plain test rejects. The rest, and any NaN, fall
-/// through to `(-z).exp()`, which equals `(-delta / t).exp()` bit for bit
-/// because IEEE negation commutes with division. Every decision is
-/// therefore the plain test's for `u` in `[0, 1)` that is zero or at least
-/// 2⁻¹⁰²², which covers every `Rng::random::<f64>` draw (multiples of
-/// 2⁻⁵³).
+/// With `z = delta / t`, the 1024-bucket table behind [`bracket`] settles
+/// all but ~0.1% of uphill proposals from `u`'s bucket alone: `z` above the
+/// bucket's `reject_above` bound rejects, `z` below its `accept_below`
+/// bound accepts, each bound widened by a 1e-9 relative and absolute margin
+/// so that only proposals the plain test decides the same way are settled.
+/// The rest, and any NaN, fall through to `(-z).exp()`, which equals
+/// `(-delta / t).exp()` bit for bit because IEEE negation commutes with
+/// division. Every decision, and every draw, is therefore the plain
+/// test's.
 #[inline(always)]
 pub(crate) fn metropolis(delta: f64, t: f64, draw: impl FnOnce() -> f64) -> bool {
     if delta <= 0.0 {
@@ -116,28 +199,42 @@ pub(crate) fn metropolis(delta: f64, t: f64, draw: impl FnOnce() -> f64) -> bool
     }
     let u = draw();
     let z = delta / t;
-    if u * (1.0 + z + 0.5 * z * z + z * z * z / 6.0) >= 1.0 + 1e-9 {
-        return false;
+    match bracket(z, u) {
+        Some(decision) => decision,
+        None => u < (-z).exp(),
     }
-    u < (-z).exp()
 }
 
-/// One annealing restart on the compiled form: random init, Metropolis
-/// sweeps with incremental local fields, best-seen tracking. Reuses the
-/// caller's `x` / `local` buffers; updates `best` / `best_bits` in place and
-/// returns `(evaluations, accepted_flips)`. The acceptance counter is a
-/// plain local increment on a branch already taken, so profiling adds no
-/// RNG draws and no extra work to the hot loop.
+/// The temperature of every sweep of one restart, computed once per solve
+/// (one `powf` per sweep for the geometric schedule) and shared by all of
+/// its restarts.
+fn sweep_temperatures(params: &SaParams) -> Vec<f64> {
+    let total_sweeps = params.sweeps.max(1);
+    (0..total_sweeps)
+        .map(|sweep| {
+            let frac = sweep as f64 / total_sweeps as f64;
+            params.schedule.temperature(params.t_start, params.t_end, frac).max(1e-12)
+        })
+        .collect()
+}
+
+/// One annealing restart on the compiled form: random init, one Metropolis
+/// sweep per entry of `temps` with incremental local fields, best-seen
+/// tracking. Reuses the caller's `x` / `local` buffers; updates `best` /
+/// `best_bits` in place and returns `(evaluations, accepted_flips)`. The
+/// acceptance counter is a plain local increment on a branch already taken,
+/// so profiling adds no RNG draws and no extra work to the hot loop.
 fn anneal_restart(
     c: &CompiledQubo,
-    params: &SaParams,
+    temps: &[f64],
     rng: &mut impl Rng,
     x: &mut [bool],
     local: &mut [f64],
     best: &mut f64,
     best_bits: &mut [bool],
 ) -> (u64, u64) {
-    let n = c.n_vars();
+    let n = x.len();
+    assert_eq!(local.len(), n, "field buffer length mismatch");
     let mut evals: u64 = 1; // the full energy evaluation below
     let mut accepted: u64 = 0;
     for b in x.iter_mut() {
@@ -145,10 +242,7 @@ fn anneal_restart(
     }
     let mut energy = c.energy(x);
     c.local_fields_into(x, local);
-    let total_sweeps = params.sweeps.max(1);
-    for sweep in 0..total_sweeps {
-        let frac = sweep as f64 / total_sweeps as f64;
-        let t = params.schedule.temperature(params.t_start, params.t_end, frac).max(1e-12);
+    for &t in temps {
         for i in 0..n {
             let delta = if x[i] { -local[i] } else { local[i] };
             evals += 1;
@@ -236,17 +330,18 @@ fn sa_restart_loop(
     let n = c.n_vars();
     let mut x = vec![false; n];
     let mut local = vec![0.0f64; n];
+    let temps = sweep_temperatures(params);
     for r in first..params.restarts.max(1) {
         if probe.should_stop() {
             break;
         }
         let (restart_evals, accepted) =
-            anneal_restart(c, params, rng, &mut x, &mut local, best, best_bits);
+            anneal_restart(c, &temps, rng, &mut x, &mut local, best, best_bits);
         *evals += restart_evals;
         probe.on_restart(&RestartStats {
             solver: "sa",
             restart: r as u64,
-            sweeps: params.sweeps.max(1) as u64,
+            sweeps: temps.len() as u64,
             proposals: restart_evals - 1,
             accepted,
         });
@@ -382,6 +477,7 @@ pub fn simulated_annealing_parallel_probed(
     // All-false baseline, evaluated once and shared by every chunk.
     let baseline_bits = vec![false; n];
     let baseline = c.energy(&baseline_bits);
+    let temps = sweep_temperatures(params);
 
     // One chunk per thread: the scratch buffers are allocated per thread
     // and reused across that chunk's restarts; `anneal_restart` keeps
@@ -399,12 +495,12 @@ pub fn simulated_annealing_parallel_probed(
             }
             let mut rng = StdRng::seed_from_u64(restart_seed(seed, r as u64));
             let (restart_evals, accepted) =
-                anneal_restart(c, params, &mut rng, &mut x, &mut local, &mut best, &mut best_bits);
+                anneal_restart(c, &temps, &mut rng, &mut x, &mut local, &mut best, &mut best_bits);
             evals += restart_evals;
             probe.on_restart(&RestartStats {
                 solver: "sa-parallel",
                 restart: r as u64,
-                sweeps: params.sweeps.max(1) as u64,
+                sweeps: temps.len() as u64,
                 proposals: restart_evals - 1,
                 accepted,
             });
@@ -551,7 +647,7 @@ pub fn simulated_annealing_colored_probed(
     let mut u = vec![0.0f64; max_class];
     let mut decisions = vec![(0.0f64, false); max_class];
 
-    let total_sweeps = params.sweeps.max(1);
+    let temps = sweep_temperatures(params);
     for r in 0..params.restarts.max(1) {
         if probe.should_stop() {
             break;
@@ -564,9 +660,7 @@ pub fn simulated_annealing_colored_probed(
         evals += 1;
         let mut proposals: u64 = 0;
         let mut accepted: u64 = 0;
-        for sweep in 0..total_sweeps {
-            let frac = sweep as f64 / total_sweeps as f64;
-            let t = params.schedule.temperature(params.t_start, params.t_end, frac).max(1e-12);
+        for &t in &temps {
             for class in &coloring.classes {
                 let len = class.len();
                 for slot in u[..len].iter_mut() {
@@ -595,7 +689,7 @@ pub fn simulated_annealing_colored_probed(
         probe.on_restart(&RestartStats {
             solver: "sa-colored",
             restart: r as u64,
-            sweeps: total_sweeps as u64,
+            sweeps: temps.len() as u64,
             proposals,
             accepted,
         });
@@ -654,6 +748,9 @@ mod tests {
                 u
             });
             assert_eq!(got, plain, "delta {delta:e}, t {t:e}, u {u:e}");
+            if let Some(decision) = bracket(delta / t, u) {
+                assert_eq!(decision, u < (-delta / t).exp(), "delta {delta:e}, t {t:e}, u {u:e}");
+            }
             // The draw happens exactly when the plain test draws, so the
             // RNG stream is unchanged too.
             let uphill_or_nan = delta > 0.0 || delta.is_nan();
@@ -705,15 +802,58 @@ mod tests {
             }
         }
 
+        // The table holds the bounds its docs state, to far below its
+        // margins, whatever the compile-time `ln` rounds differently.
+        for (k, &[reject_above, accept_below]) in METROPOLIS_TABLE.iter().enumerate() {
+            let edge = |k: usize| -(k as f64 / BUCKETS as f64).ln();
+            if k == 0 {
+                assert_eq!(reject_above, f64::INFINITY);
+            } else {
+                let want = edge(k) * (1.0 + 1e-9) + 1e-9;
+                assert!((reject_above - want).abs() <= 1e-15 * want.max(1.0), "bucket {k}");
+            }
+            let want = edge(k + 1) * (1.0 - 1e-9) - 1e-9;
+            assert!((accept_below - want).abs() <= 1e-15 * want.abs().max(1.0), "bucket {k}");
+        }
+
+        // `u` on every bucket edge `k/1024` and one ulp either side, against
+        // `z` on every bound of the buckets those draws (or `u + 1`'s
+        // rounding) can pick and one ulp either side: the table never
+        // settles one of these differently from `exp()`.
+        let ulps = |v: f64| [v.next_down(), v, v.next_up()];
+        let bracket_agrees = |z: f64, u: f64| {
+            if let Some(decision) = bracket(z, u) {
+                assert_eq!(decision, u < (-z).exp(), "z {z:e}, u {u:e}");
+            }
+        };
+        for k in 0..=BUCKETS {
+            let edge = k as f64 / BUCKETS as f64;
+            let edge_draws = if k == 0 { [-0.0, 0.0, 5e-324] } else { ulps(edge) };
+            for &u in &edge_draws {
+                let near = &METROPOLIS_TABLE[k.saturating_sub(2)..(k + 2).min(BUCKETS)];
+                for &bound in near.iter().flatten().filter(|b| b.is_finite()) {
+                    for z in ulps(bound) {
+                        bracket_agrees(z, u);
+                    }
+                }
+            }
+        }
+
         // Random proposals over the `z = delta / t` range annealing visits,
-        // with the uniform draws an `Rng` makes.
+        // with the uniform draws an `Rng` makes: the table settles nearly
+        // all of them, each as `exp()` would.
         let mut rng = StdRng::seed_from_u64(27);
-        for _ in 0..200_000 {
+        let mut decided = 0;
+        const PROPOSALS: usize = 200_000;
+        for _ in 0..PROPOSALS {
             let t = 10f64.powf(rng.random_range(-3.0..2.0));
             let delta = t * 10f64.powf(rng.random_range(-6.0..2.0));
-            check(delta, t, rng.random::<f64>());
+            let u = rng.random::<f64>();
+            check(delta, t, u);
+            decided += usize::from(bracket(delta / t, u).is_some());
             around_boundary(delta, t);
         }
+        assert!(decided * 100 >= PROPOSALS * 99, "the table settled {decided} of {PROPOSALS}");
     }
 
     #[test]

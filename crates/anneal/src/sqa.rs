@@ -189,6 +189,7 @@ pub fn simulated_quantum_annealing_probed(
     }
 
     let sweeps = params.sweeps.max(1);
+    let t = params.temperature.max(1e-12);
     let mut sweeps_done: u64 = 0;
     let mut proposals: u64 = 0;
     let mut accepted: u64 = 0;
@@ -219,7 +220,7 @@ pub fn simulated_quantum_annealing_probed(
                 let delta = classical_delta + quantum_delta;
                 evals += 1;
                 proposals += 1;
-                if metropolis(delta, params.temperature.max(1e-12), || rng.random::<f64>()) {
+                if metropolis(delta, t, || rng.random::<f64>()) {
                     spins[r][i] = -si;
                     accepted += 1;
                 }

@@ -4,13 +4,25 @@
 //! the `QuboModel` path) whose headline ratio is printed
 //! as `solvers/compiled_speedup` and recorded in `BENCH_solvers.json` at
 //! the workspace root so future PRs have a perf trajectory to diff against.
+//! The same alternating rounds time the library annealing kernel
+//! (`simulated_annealing_compiled`, as the `simulated-annealing` backend
+//! runs it) on seeded 128–256-variable MQO and join-order models and
+//! record its `anneal_ns_per_proposal`, the per-kernel yardstick for
+//! changes to the Metropolis test and the field loops.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qdm_anneal::sa::{simulated_annealing, simulated_annealing_parallel, SaParams};
+use qdm_anneal::sa::{
+    simulated_annealing, simulated_annealing_compiled, simulated_annealing_parallel, SaParams,
+};
 use qdm_anneal::sqa::{simulated_quantum_annealing, SqaParams};
 use qdm_anneal::tabu::{tabu_search, TabuParams};
 use qdm_bench::exp_meta::random_qubo;
+use qdm_core::problem::DmProblem;
 use qdm_core::solver::full_registry;
+use qdm_db::query::{GraphShape, QueryGraph};
+use qdm_problems::joinorder::JoinOrderProblem;
+use qdm_problems::mqo::{MqoInstance, MqoProblem};
+use qdm_qubo::compiled::CompiledQubo;
 use qdm_qubo::model::QuboModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,6 +70,28 @@ fn bench_annealer_scaling(c: &mut Criterion) {
 /// shared with `bench_runtime` so both baselines measure the same model.
 fn dense_instance() -> QuboModel {
     qdm_bench::exp_meta::dense_acceptance_instance()
+}
+
+/// Seeded MQO and join-order models at the sizes `bench_e2e`'s
+/// `cold-large` stream draws (MQO with about eight sharing partners per
+/// plan; left-deep join ordering over a star, `relations²` variables), each
+/// named `family-n_vars`.
+fn anneal_instances() -> Vec<(String, CompiledQubo)> {
+    let mut rng = StdRng::seed_from_u64(2029);
+    let mut models = Vec::new();
+    for queries in [32usize, 64] {
+        let sharing = (8.0 / (queries * 4) as f64).min(0.3);
+        let q = MqoProblem::new(MqoInstance::generate(queries, 4, sharing, &mut rng)).to_qubo();
+        models.push(("mqo", q));
+    }
+    for relations in [12usize, 16] {
+        let graph = QueryGraph::generate(GraphShape::Star, relations, &mut rng);
+        models.push(("join-order", JoinOrderProblem::left_deep(graph).to_qubo()));
+    }
+    models
+        .into_iter()
+        .map(|(family, q)| (format!("{family}-{}", q.n_vars()), q.compile()))
+        .collect()
 }
 
 fn random_assignment(n: usize, rng: &mut StdRng) -> Vec<bool> {
@@ -197,11 +231,27 @@ fn bench_compiled_vs_model(c: &mut Criterion) {
     let mut rng_c = StdRng::seed_from_u64(13);
     let mut x_c = random_assignment(n, &mut rng_c);
     let mut fields_c = compiled.local_fields(&x_c);
+    // The library kernel: one full default-parameter solve per model and
+    // round, timed per Metropolis proposal (restarts × sweeps × variables).
+    let anneal = anneal_instances();
+    let mut anneal_samples: Vec<Vec<f64>> = vec![Vec::new(); anneal.len()];
     // Per path, one sample per round: SA sweep on the model, the neighbor
     // lists and the compiled form; energy on the model and the compiled
     // form; a flip of every variable on the model and the compiled form.
     let mut samples: [Vec<f64>; 7] = Default::default();
-    for _ in 0..ROUNDS {
+    for round in 0..ROUNDS {
+        for ((_, c), path) in anneal.iter().zip(&mut anneal_samples) {
+            let params = SaParams::scaled_to_compiled(c);
+            let proposals = (params.restarts * params.sweeps * c.n_vars()) as f64;
+            let mut rng = StdRng::seed_from_u64(round as u64);
+            let ns = time_per(
+                &mut || {
+                    black_box(simulated_annealing_compiled(c, &params, &mut rng));
+                },
+                3,
+            );
+            path.push(ns / proposals);
+        }
         let round = [
             time_per(
                 &mut || {
@@ -275,6 +325,14 @@ fn bench_compiled_vs_model(c: &mut Criterion) {
         compiled_ns / 1e3,
     );
 
+    let anneal_ns: Vec<String> = anneal
+        .iter()
+        .zip(anneal_samples)
+        .map(|((name, _), samples)| format!("\"{name}\": {:.2}", median(samples)))
+        .collect();
+    let anneal_ns = anneal_ns.join(", ");
+    println!("solvers/anneal_ns_per_proposal: {anneal_ns} (medians of {ROUNDS} rounds)");
+
     // Machine-readable baseline at the workspace root; hand-rolled JSON
     // because the serde shim has no serializer.
     let json = format!(
@@ -284,6 +342,7 @@ fn bench_compiled_vs_model(c: &mut Criterion) {
          \"energy_ns\": {{\"model\": {energy_model_ns:.0}, \
          \"compiled\": {energy_compiled_ns:.0}}},\n  \"flip_all_vars_ns\": \
          {{\"model\": {flip_model_ns:.0}, \"compiled\": {flip_compiled_ns:.0}}},\n  \
+         \"anneal_ns_per_proposal\": {{{anneal_ns}}},\n  \
          \"compiled_speedup\": {speedup:.2},\n  \"layout_speedup\": {layout_speedup:.2}\n}}\n",
         m = q.n_interactions(),
     );

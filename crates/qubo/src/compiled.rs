@@ -20,7 +20,11 @@
 //! Floating-point note: all sums here visit coefficients in exactly the
 //! order [`QuboModel`]'s own methods do (linear terms by index, couplings in
 //! sorted `(i, j)` order, per-row neighbors ascending), so compiled results
-//! are bit-identical to the model-backed slow path, not merely close.
+//! are bit-identical to the model-backed slow path, not merely close. The
+//! sums over a random assignment add `w` or `-0.0` chosen by bitmask rather
+//! than branching on each bit: `a + (-0.0)` is `a` for every `a`, `+0.0`
+//! included, so they keep the bits of the branchy sum (a `+0.0` or `w·bit`
+//! select would not: `-0.0 + 0.0` is `+0.0`).
 
 use crate::model::{f64_bits, mix, pair_word, QuboModel, FINGERPRINT_SEED};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,8 +32,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Process-wide count of [`CompiledQubo`] constructions.
 ///
 /// This is the compile-once observability hook: `qdm-runtime` compiles each
-/// cache-miss job exactly once and shares the compilation across presolve
-/// and every racing backend, and its tests assert
+/// cache-miss job exactly once and shares the compilation between presolve
+/// and the backend that solves it, and its tests assert
 /// that invariant by diffing this counter around a solve. A relaxed atomic
 /// increment per compilation is far below measurement noise.
 static COMPILATIONS: AtomicU64 = AtomicU64::new(0);
@@ -282,25 +286,19 @@ impl CompiledQubo {
         assert_eq!(x.len(), self.n_vars, "assignment length mismatch");
         let mut e = self.offset;
         for (&w, &xi) in self.linear.iter().zip(x) {
-            if xi {
-                e += w;
-            }
+            e += if_active(xi, w);
         }
         // Each coupling appears in both endpoint rows; walking only the
         // precomputed `j > i` suffix of each row visits every pair exactly
-        // once — no branch, half the memory traffic — in the same sorted
-        // (i, j) order the model's coupling array holds.
-        for i in 0..self.n_vars {
-            if !x[i] {
+        // once — half the memory traffic — in the same sorted (i, j) order
+        // the model's coupling array holds.
+        for (i, &xi) in x.iter().enumerate() {
+            if !xi {
                 continue;
             }
             let span = self.upper_starts[i]..self.row_offsets[i + 1];
-            let nbrs = &self.neighbors[span.clone()];
-            let ws = &self.weights[span];
-            for (&j, &w) in nbrs.iter().zip(ws) {
-                if x[j as usize] {
-                    e += w;
-                }
+            for (&j, &w) in self.neighbors[span.clone()].iter().zip(&self.weights[span]) {
+                e += if_active(x[j as usize], w);
             }
         }
         e
@@ -339,16 +337,16 @@ impl CompiledQubo {
     /// allocation across restarts.
     ///
     /// # Panics
-    /// Panics if `fields.len() != n_vars`.
+    /// Panics if `fields.len() != n_vars` or `x.len() != n_vars`.
     pub fn local_fields_into(&self, x: &[bool], fields: &mut [f64]) {
         assert_eq!(fields.len(), self.n_vars, "field buffer length mismatch");
-        for (i, field) in fields.iter_mut().enumerate() {
-            let mut f = self.linear[i];
-            let (nbrs, ws) = self.row(i);
-            for (&j, &w) in nbrs.iter().zip(ws) {
-                if x[j as usize] {
-                    f += w;
-                }
+        assert_eq!(x.len(), self.n_vars, "assignment length mismatch");
+        let rows = self.row_offsets.windows(2);
+        for ((field, &linear), row) in fields.iter_mut().zip(&self.linear).zip(rows) {
+            let span = row[0]..row[1];
+            let mut f = linear;
+            for (&j, &w) in self.neighbors[span.clone()].iter().zip(&self.weights[span]) {
+                f += if_active(x[j as usize], w);
             }
             *field = f;
         }
@@ -428,14 +426,34 @@ impl CompiledQubo {
     /// fields. Returns the energy delta the flip contributed (callers track
     /// the running energy themselves from [`Self::flip_delta`]-style reads
     /// of `fields[i]` before the flip).
+    ///
+    /// The sign is chosen once per flip, not per neighbor: a set bit runs a
+    /// `-= w` loop and a clear one a `+= w` loop, and `a - w` is
+    /// bit-identical to `a + (-1.0·w)`.
+    ///
+    /// # Panics
+    /// Panics if `fields.len() != n_vars` or `i` is out of range.
     #[inline]
     pub fn apply_flip(&self, x: &mut [bool], fields: &mut [f64], i: usize) -> f64 {
-        let delta = if x[i] { -fields[i] } else { fields[i] };
-        let sign = if x[i] { -1.0 } else { 1.0 };
-        x[i] = !x[i];
+        assert_eq!(fields.len(), self.n_vars, "field buffer length mismatch");
+        let was_set = x[i];
+        let delta = if was_set { -fields[i] } else { fields[i] };
+        x[i] = !was_set;
         let (nbrs, ws) = self.row(i);
-        for (&j, &w) in nbrs.iter().zip(ws) {
-            fields[j as usize] += sign * w;
+        // SAFETY: every neighbor index is below `n_vars`. `Self::new` is the
+        // only constructor, and `build_symmetric_csr` indexes
+        // `row_offsets[j + 1]` (length `n_vars + 1`) for both endpoints of
+        // every coupling it places, so an index `>= n_vars` panics there
+        // before it can reach `neighbors`, which is never mutated after.
+        // `fields.len() == n_vars` is asserted above.
+        if was_set {
+            for (&j, &w) in nbrs.iter().zip(ws) {
+                unsafe { *fields.get_unchecked_mut(j as usize) -= w };
+            }
+        } else {
+            for (&j, &w) in nbrs.iter().zip(ws) {
+                unsafe { *fields.get_unchecked_mut(j as usize) += w };
+            }
         }
         delta
     }
@@ -492,6 +510,15 @@ impl CompiledQubo {
         }
         Coloring { classes }
     }
+}
+
+/// `w` when `active`, else `-0.0`, selected by bitmask so the sums over a
+/// random assignment compile without a branch on each bit. Adding `-0.0`
+/// is the IEEE identity (see the [module docs](self)).
+#[inline(always)]
+fn if_active(active: bool, w: f64) -> f64 {
+    let mask = u64::from(active).wrapping_neg();
+    f64::from_bits((w.to_bits() & mask) | ((-0.0f64).to_bits() & !mask))
 }
 
 /// A partition of the variables into independence classes (see
@@ -593,6 +620,105 @@ mod tests {
         for i in 0..5 {
             let want = if x[i] { -q.flip_delta(&x, i) } else { q.flip_delta(&x, i) };
             assert!((fields[i] - want).abs() < 1e-12, "var {i}");
+        }
+    }
+
+    /// The branchy sums the bitmask selects replaced: `energy`,
+    /// `local_fields` and one `apply_flip` as they read before.
+    fn branchy_energy(c: &CompiledQubo, x: &[bool]) -> f64 {
+        let mut e = c.offset;
+        for (&w, &xi) in c.linear.iter().zip(x) {
+            if xi {
+                e += w;
+            }
+        }
+        for i in (0..c.n_vars).filter(|&i| x[i]) {
+            for k in c.upper_starts[i]..c.row_offsets[i + 1] {
+                if x[c.neighbors[k] as usize] {
+                    e += c.weights[k];
+                }
+            }
+        }
+        e
+    }
+
+    fn branchy_fields(c: &CompiledQubo, x: &[bool]) -> Vec<f64> {
+        (0..c.n_vars)
+            .map(|i| {
+                let mut f = c.linear[i];
+                let (nbrs, ws) = c.row(i);
+                for (&j, &w) in nbrs.iter().zip(ws) {
+                    if x[j as usize] {
+                        f += w;
+                    }
+                }
+                f
+            })
+            .collect()
+    }
+
+    fn branchy_flip(c: &CompiledQubo, x: &mut [bool], fields: &mut [f64], i: usize) -> f64 {
+        let delta = if x[i] { -fields[i] } else { fields[i] };
+        let sign = if x[i] { -1.0 } else { 1.0 };
+        x[i] = !x[i];
+        let (nbrs, ws) = c.row(i);
+        for (&j, &w) in nbrs.iter().zip(ws) {
+            fields[j as usize] += sign * w;
+        }
+        delta
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    #[test]
+    fn branch_free_sums_keep_the_bits_of_the_branchy_ones() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // Signed zeros survive: with a `-0.0` offset and linear terms, an
+        // assignment whose active variables have no active neighbor sums
+        // to `-0.0`, which a `+0.0` select would turn into `+0.0`.
+        let mut c = sample_model().compile();
+        c.offset = -0.0;
+        c.linear.fill(-0.0);
+        for x in [[false; 5], [false, false, true, true, false]] {
+            assert_eq!(c.energy(&x).to_bits(), (-0.0f64).to_bits(), "{x:?}");
+            assert_eq!(c.energy(&x).to_bits(), branchy_energy(&c, &x).to_bits());
+        }
+        let x = [false; 5];
+        assert_eq!(bits(&c.local_fields(&x)), bits(&[-0.0; 5]));
+
+        // Random models and assignments, then a random flip sequence: every
+        // energy, field and flip delta matches the branchy sum bit for bit.
+        let mut rng = StdRng::seed_from_u64(29);
+        for n in [1usize, 7, 40, 130] {
+            let mut q = QuboModel::new(n);
+            q.add_offset(rng.random_range(-2.0..2.0));
+            for i in 0..n {
+                q.add_linear(i, rng.random_range(-3.0..3.0));
+                for j in (i + 1)..n {
+                    if rng.random::<f64>() < 0.2 {
+                        q.add_quadratic(i, j, rng.random_range(-2.0..2.0));
+                    }
+                }
+            }
+            let c = q.compile();
+            let mut x: Vec<bool> = (0..n).map(|_| rng.random()).collect();
+            assert_eq!(c.energy(&x).to_bits(), branchy_energy(&c, &x).to_bits(), "n {n}");
+            let mut fields = c.local_fields(&x);
+            assert_eq!(bits(&fields), bits(&branchy_fields(&c, &x)), "n {n}");
+            let mut want_x = x.clone();
+            let mut want_fields = fields.clone();
+            for _ in 0..4 * n {
+                let i = rng.random_range(0..n);
+                let got = c.apply_flip(&mut x, &mut fields, i);
+                let want = branchy_flip(&c, &mut want_x, &mut want_fields, i);
+                assert_eq!(got.to_bits(), want.to_bits(), "n {n}, flip {i}");
+                assert_eq!(bits(&fields), bits(&want_fields), "n {n}, flip {i}");
+            }
+            assert_eq!(x, want_x);
         }
     }
 

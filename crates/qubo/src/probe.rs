@@ -10,7 +10,8 @@
 //! costs a handful of calls per solve and a disabled one costs nothing.
 //!
 //! Implementations must be cheap and non-blocking; they may be called from
-//! racing worker threads concurrently.
+//! several threads at once (the restart-parallel and colored annealers
+//! report from their scoped worker threads).
 
 use std::sync::Arc;
 
@@ -60,8 +61,8 @@ pub struct SolverCheckpoint {
 /// Observer for solver-internal progress events.
 ///
 /// All methods have empty defaults so implementors opt into exactly the
-/// events they care about. Probes are shared across threads during
-/// portfolio races, hence `Send + Sync`.
+/// events they care about. Probes are shared with a solver's scoped worker
+/// threads, hence `Send + Sync`.
 pub trait StageProbe: Send + Sync {
     /// One presolve fixpoint round finished, fixing `fixed_in_round`
     /// variables (the final, converged round reports 0).

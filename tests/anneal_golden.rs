@@ -3,14 +3,19 @@
 //! Each row pins, for one seeded model: the model's fingerprint (so an
 //! encoder that adds its terms in another order shows up here first), then
 //! the energy bits, evaluation count and an FNV-1a hash of the returned
-//! assignment of serial, restart-parallel and colored simulated annealing.
-//! The values were recorded before the Metropolis test learned to skip
-//! `exp()` on clear rejections; a kernel change that moves any decision,
-//! RNG draw or floating-point sum moves one of them.
+//! assignment of serial, restart-parallel and colored simulated annealing,
+//! and in a second table of simulated quantum annealing (which shares the
+//! Metropolis test) and tabu search (which shares the energy and local-field
+//! initialisers). The SA values were recorded before the Metropolis test
+//! learned to skip `exp()` on clear rejections, and the SQA and tabu values
+//! before it moved to a lookup table; a kernel change that moves any
+//! decision, RNG draw or floating-point sum moves one of them.
 
 use qdm::anneal::sa::{
     simulated_annealing, simulated_annealing_colored, simulated_annealing_parallel, SaParams,
 };
+use qdm::anneal::sqa::{simulated_quantum_annealing, SqaParams};
+use qdm::anneal::tabu::{tabu_search, TabuParams};
 use qdm::core::problem::DmProblem;
 use qdm::db::query::{GraphShape, QueryGraph};
 use qdm::db::txn::random_workload;
@@ -100,6 +105,55 @@ fn annealing_trajectories_are_pinned() {
                 (0xc01b_d2fe_472a_45e8, 104005, 0x4ad2_5bb3_7501_c4b5),
                 (0xc01b_d2fe_472a_4520, 104005, 0x4ad2_5bb3_7501_c4b5),
                 (0xc01b_d2fe_472a_4600, 104005, 0x4ad2_5bb3_7501_c4b5),
+            ],
+        ),
+    ];
+    assert_eq!(got, want);
+}
+
+type GoldenPair = (&'static str, [(u64, u64, u64); 2]);
+
+#[test]
+fn sqa_and_tabu_trajectories_are_pinned() {
+    let got: Vec<GoldenPair> = models()
+        .into_iter()
+        .enumerate()
+        .map(|(k, (name, q))| {
+            let seed = 190 + k as u64;
+            let sqa_params = SqaParams { replicas: 8, sweeps: 100, ..SqaParams::scaled_to(&q) };
+            let sqa =
+                simulated_quantum_annealing(&q, &sqa_params, &mut StdRng::seed_from_u64(seed));
+            let tabu = tabu_search(&q, &TabuParams::default(), &mut StdRng::seed_from_u64(seed));
+            (name, [row(&sqa), row(&tabu)])
+        })
+        .collect();
+    let want: [GoldenPair; 4] = [
+        (
+            "mqo",
+            [
+                (0x4090_daa6_00e9_3a40, 77608, 0xd226_6956_b6c8_4965),
+                (0x4080_1596_590d_4738, 4003, 0x52ab_d08a_12bb_3e73),
+            ],
+        ),
+        (
+            "join-order",
+            [
+                (0x4054_cfe8_3550_f240, 52008, 0x208c_9195_0648_eef5),
+                (0x4054_ef9c_4ab9_c020, 4003, 0xcce3_4eed_fbda_36d5),
+            ],
+        ),
+        (
+            "txn-schedule",
+            [
+                (0x4045_b000_0000_0000, 77608, 0xfbbf_aaba_ee81_57b3),
+                (0x402d_4000_0000_0000, 4003, 0x6c22_8708_677e_fd27),
+            ],
+        ),
+        (
+            "schema-match",
+            [
+                (0xc01b_d2fe_472a_4280, 104808, 0x4ad2_5bb3_7501_c4b5),
+                (0xc01b_d2fe_472a_4450, 4003, 0x4ad2_5bb3_7501_c4b5),
             ],
         ),
     ];
